@@ -32,7 +32,7 @@ from .dominant_root import (
     rho,
 )
 from .dyadic import Dyadic
-from .errors import DomainError, IntegralityError, OracleCapError
+from .errors import CertificationError, DomainError, IntegralityError, OracleCapError
 from .series import (
     SeriesPartialSum,
     adaptive_partial,
@@ -67,6 +67,7 @@ __all__ = [
     "epsilon",
     "rho",
     "Dyadic",
+    "CertificationError",
     "DomainError",
     "IntegralityError",
     "OracleCapError",

@@ -13,7 +13,7 @@ integers is divisible by b!.
 
 from __future__ import annotations
 
-from math import comb, factorial
+from math import comb, factorial, perm
 
 
 def binom(a: int, b: int) -> int:
@@ -21,11 +21,11 @@ def binom(a: int, b: int) -> int:
     if b >= 0:
         if a >= 0:
             return comb(a, b)
-        prod = 1
-        for i in range(b):
-            prod *= a - i
-        # exact by construction; floor division never truncates here
-        return prod // factorial(b)
+        # a * (a-1) * ... * (a-b+1) = (-1)**b * |a| * (|a|+1) * ... * (|a|+b-1),
+        # the falling product perm(|a|+b-1, b); exact, so floor division never
+        # truncates here
+        prod = perm(b - a - 1, b)
+        return (-prod if b & 1 else prod) // factorial(b)
     if a >= b:
         # a - b >= 0, so this resolves in the first case; depth is one.
         return binom(a, a - b)

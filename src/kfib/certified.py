@@ -1,15 +1,28 @@
-"""Approximations that carry exact absolute-error bounds.
+"""Midpoint-radius balls: approximations that carry exact error bounds.
 
 A CertifiedReal is a pair (approx, err) of exact rationals guaranteeing
-|approx - true| <= err.  All arithmetic is performed exactly on the
-rationals and the bound is propagated conservatively, interval-style, so
-any comparison derived from certified values stays rigorous.
+|approx - true| <= err.  Arithmetic on the pair is exact and propagates
+the bound conservatively, so any comparison derived from certified values
+stays rigorous.
+
+Exact arithmetic lets denominators grow without limit: a power r**m of a
+ball with a b-bit denominator carries m*b bits.  ``rounded(prec)`` keeps
+them short, as in ball arithmetic (J. van der Hoeven, "Ball arithmetic",
+2009; F. Johansson, "Arb", IEEE Trans. Computers 2017): the midpoint goes
+to the nearest point of the 2**-prec grid, that rounding error is added to
+the radius, and the radius is rounded up to a dyadic with a short
+mantissa.  Rounding only ever widens the ball, so it still encloses the
+true value.  Values that are never rounded stay exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+#: mantissa bits of a rounded radius; the radius only has to be an upper
+#: bound, so a few significant bits are all it needs
+_RADIUS_BITS = 30
 
 
 def _frac(x) -> Fraction:
@@ -18,6 +31,15 @@ def _frac(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+
+
+def _round_up(r: Fraction) -> Fraction:
+    """The least dyadic with a _RADIUS_BITS-bit mantissa that is >= r >= 0."""
+    num, den = r.numerator, r.denominator
+    shift = _RADIUS_BITS - (num.bit_length() - den.bit_length())
+    if shift >= 0:
+        return Fraction(-((-num << shift) // den), 1 << shift)
+    return Fraction(-((-num) // (den << -shift)) << -shift)
 
 
 @dataclass(frozen=True)
@@ -52,6 +74,20 @@ class CertifiedReal:
         """True when the two certified values are compatible: the gap
         between approximations is within the combined bounds plus slack."""
         return abs(self.approx - other.approx) <= self.err + other.err + _frac(slack)
+
+    # -- rounding ------------------------------------------------------
+
+    def rounded(self, prec: int) -> "CertifiedReal":
+        """This ball with its midpoint on the 2**-prec grid (prec >= 0).
+
+        The midpoint is rounded to nearest; the radius grows by exactly
+        that rounding error and is then rounded up to _RADIUS_BITS bits.
+        """
+        num, den = self.approx.numerator, self.approx.denominator
+        scaled = num << prec
+        m = (2 * scaled + den) // (2 * den)
+        moved = Fraction(abs(scaled - m * den), den << prec)
+        return CertifiedReal(Fraction(m, 1 << prec), _round_up(self.err + moved))
 
     # -- arithmetic ----------------------------------------------------
 
@@ -114,15 +150,31 @@ class CertifiedReal:
             return NotImplemented
         return other * self.reciprocal()
 
+    def power(self, m: int, prec: int | None = None) -> "CertifiedReal":
+        """self**m by binary powering, every product rounded to ``prec``.
+
+        With ``prec=None`` nothing is rounded and the midpoint is exactly
+        approx**m.  The radius is then (|approx| + err)**m - |approx|**m,
+        never more than the mean-value bound m * (|approx| + err)**(m-1) * err.
+        A negative m inverts the power of -m.
+        """
+
+        def fit(x: CertifiedReal) -> CertifiedReal:
+            return x if prec is None else x.rounded(prec)
+
+        if m < 0:
+            return fit(self.power(-m, prec).reciprocal())
+        result = CertifiedReal.exact(1)
+        base = self
+        while m:
+            if m & 1:
+                result = fit(result * base)
+            m >>= 1
+            if m:
+                base = fit(base * base)
+        return result
+
     def __pow__(self, m: int):
-        """Integer power with the bound m * B**(m-1) * err, B = |approx| + err."""
         if not isinstance(m, int):
             return NotImplemented
-        if m < 0:
-            return (self ** (-m)).reciprocal()
-        if m == 0:
-            return CertifiedReal.exact(1)
-        if m == 1:
-            return self
-        bound_base = abs(self.approx) + self.err
-        return CertifiedReal(self.approx**m, m * bound_base ** (m - 1) * self.err)
+        return self.power(m)

@@ -3,9 +3,13 @@
 Subcommands expose every computation of the library with deterministic,
 machine-readable output.  All numeric payloads are decimal strings (never
 floats): exact results carry no error bound, approximate ones always do.
+Exact integers print in full, however many digits they have.  ``rho``
+reports its root as method "newton": Newton steps certified by an exact
+sign change of the characteristic polynomial.
 
-Exit codes: 0 success, 2 usage error, 3 domain error, 4 verification
-failure.
+Exit codes: 0 success, 2 usage error, 3 domain error (including a series
+whose tail bound would need terms past the probe cap), 4 verification
+failure, 5 a certificate that failed to verify (an internal error).
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .closed_forms import (
 )
 from .core import kfib_order_k, kfib_order_k1
 from .dominant_root import asymptotic, asymptotic_ratio, epsilon, rho
-from .errors import DomainError, OracleCapError
+from .errors import CertificationError, DomainError, IntegralityError, OracleCapError
 from .series import (
     SeriesPartialSum,
     adaptive_partial,
@@ -49,10 +53,22 @@ class OutputRecord:
 # -- decimal rendering ---------------------------------------------------
 
 
+def _int_decimal(x: int) -> str:
+    """str(x) with CPython's int-to-str digit limit lifted for this call only."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.11: no limit
+        return str(x)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(x)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _fraction_decimal(x: Fraction, digits: int) -> str:
     scaled = round(x * 10**digits)
     sign = "-" if scaled < 0 else ""
-    body = str(abs(scaled))
+    body = _int_decimal(abs(scaled))
     if digits == 0:
         return sign + body
     body = body.rjust(digits + 1, "0")
@@ -87,7 +103,7 @@ def _bound_decimal(x: Fraction) -> str:
 def _certified_record(command: str, params: dict[str, str], value: CertifiedReal,
                       method: str) -> OutputRecord:
     if value.err == 0 and value.approx.denominator == 1:
-        return OutputRecord(command, params, str(value.approx.numerator),
+        return OutputRecord(command, params, _int_decimal(value.approx.numerator),
                             True, None, method)
     digits = _digits_for(value.err) if value.err else 60
     shown = _fraction_decimal(value.approx, digits)
@@ -241,14 +257,15 @@ def _run_fib(args, parser) -> tuple[list[OutputRecord], int]:
     params = {"k": str(k), "n": str(n)}
     if args.method != "all":
         value = engines[args.method](k, n)
-        return [OutputRecord("fib", params, str(value), True, None, args.method)], 0
+        return [OutputRecord("fib", params, _int_decimal(value), True, None,
+                             args.method)], 0
     methods = ["recurrence", "recurrence-k1"]
     if n >= k:
         methods.append("binomial")
         if n != 2 * k - 1:
             methods.append("ordinary")
         methods.append("ordinary-alt")
-    records = [OutputRecord("fib", params, str(engines[m](k, n)), True, None, m)
+    records = [OutputRecord("fib", params, _int_decimal(engines[m](k, n)), True, None, m)
                for m in methods]
     values = {r.value for r in records}
     if len(values) > 1:
@@ -263,10 +280,10 @@ def _run_rho(args, parser) -> tuple[list[OutputRecord], int]:
     if args.epsilon:
         value = epsilon(args.k, args.bits)
         return [_certified_record("rho", dict(params, quantity="epsilon"),
-                                  value, "fixed-point")], 0
+                                  value, "newton")], 0
     value = rho(args.k, args.bits)
     return [_certified_record("rho", dict(params, quantity="rho"),
-                              value, "fixed-point")], 0
+                              value, "newton")], 0
 
 
 def _run_series(args, parser) -> tuple[list[OutputRecord], int]:
@@ -340,6 +357,9 @@ def run(argv: list[str] | None = None) -> int:
     except (DomainError, OracleCapError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
+    except (CertificationError, IntegralityError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 5
     if args.timing:
         print(f"elapsed: {time.perf_counter() - started:.3f}s", file=sys.stderr)
     return code

@@ -19,7 +19,7 @@ from .errors import DomainError
 
 
 def _require_n_at_least(n: int, lo: int) -> None:
-    if not isinstance(n, int) or n < lo:
+    if type(n) is not int or n < lo:
         raise DomainError(f"n must be an integer >= {lo}, got {n!r}")
 
 
@@ -47,7 +47,7 @@ def kfib_binomial(k: int, n: int) -> int:
     integer under this shift).
     """
     check_k(k)
-    if not isinstance(n, int) or n < k:
+    if type(n) is not int or n < k:
         raise DomainError(f"n must be an integer >= k={k}, got {n!r}")
     total = Dyadic(0)
     for el in range(0, (n - k + 1) // (k + 1) + 1):
@@ -83,7 +83,7 @@ def kfib_ordinary(k: int, n: int) -> int:
     silently remapped.
     """
     check_k(k)
-    if not isinstance(n, int) or n < k:
+    if type(n) is not int or n < k:
         raise DomainError(f"n must be an integer >= k={k}, got {n!r}")
     if n == 2 * k - 1:
         raise DomainError(
@@ -96,7 +96,7 @@ def kfib_ordinary(k: int, n: int) -> int:
 def kfib_ordinary_alt(k: int, n: int) -> int:
     """F[n] by the equivalent ordinary-binomial sum with no excluded index."""
     check_k(k)
-    if not isinstance(n, int) or n < k:
+    if type(n) is not int or n < k:
         raise DomainError(f"n must be an integer >= k={k}, got {n!r}")
     total = Dyadic(1, k - n)
     for el in range(1, (n - k + 1) // (k + 1) + 1):
@@ -116,7 +116,7 @@ def kfib_ordinary_erroneous(k: int, n: int) -> Dyadic:
     the test suite can exhibit inputs where the extra terms matter.
     """
     check_k(k)
-    if not isinstance(n, int) or n < k:
+    if type(n) is not int or n < k:
         raise DomainError(f"n must be an integer >= k={k}, got {n!r}")
     total = Dyadic(1, k - n)
     for el in range(1, (n - 1) // (k + 1) + 1):

@@ -18,13 +18,13 @@ ORACLE_CAP = 25
 
 
 def check_k(k: int) -> int:
-    if not isinstance(k, int) or k < 2:
+    if type(k) is not int or k < 2:
         raise DomainError(f"sequence order k must be an integer >= 2, got {k!r}")
     return k
 
 
 def _check_n(n: int) -> int:
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise DomainError(f"index n must be a nonnegative integer, got {n!r}")
     return n
 
@@ -96,7 +96,7 @@ def count_compositions(k: int, n: int, cap: int = ORACLE_CAP) -> int:
     (the count equals F[n+k-1]).
     """
     check_k(k)
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
     if n > cap:
         raise OracleCapError(

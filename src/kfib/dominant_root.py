@@ -1,14 +1,22 @@
 """Certified computation of the dominant characteristic root.
 
 The k-step recurrence has characteristic polynomial x**k - x**(k-1) - ... - 1,
-equivalently x**(k+1) - 2*x**k + 1 after multiplying by (x - 1).  Its unique
-root of modulus > 1, written rho_k, is real and satisfies
-2 - 2**(1-k) < rho_k < 2; for k = 2 it is the golden ratio.  The gap
-eps_k = 2 - rho_k obeys the fixed-point equation eps = (2 - eps)**(-k)
-on (0, 2**(1-k)), where the iteration map is a contraction with the
-explicit constant k * (2 - 2**(1-k))**(-(k+1)).  Everything here returns
-CertifiedReal values whose bounds come from the standard a-posteriori
-contraction estimate, evaluated in exact rational arithmetic.
+equivalently p(x) = x**(k+1) - 2*x**k + 1 after multiplying by (x - 1).  Its
+unique root of modulus > 1, written rho_k, is real and satisfies
+2 - 2**(1-k) < rho_k < 2; for k = 2 it is the golden ratio.  On that window
+p is increasing and convex, and rho_k is its only zero there (the other
+positive root is x = 1).
+
+The root is found by Newton's method on p in fixed-point integers, the
+precision doubling from step to step, and certified by an exact sign
+change: p < 0 at the lower end of the returned bracket, p > 0 at the upper
+end, both ends inside the window.  No iteration count or contraction
+estimate enters the bound.
+
+The dominant-term values evaluate in ball arithmetic (CertifiedReal) with
+every operation rounded to one working precision, bits + |index| + 3k +
+guard, enough for a power of rho_k to keep the 2**-bits target; a result
+that still misses its target raises CertificationError.
 """
 
 from __future__ import annotations
@@ -17,16 +25,23 @@ from fractions import Fraction
 
 from .certified import CertifiedReal
 from .core import check_k, kfib_order_k
-from .errors import DomainError
+from .errors import CertificationError, DomainError
 
 MIN_BITS = 8
 
-#: extra binary digits of the rounding grid relative to the requested bits
+#: extra binary digits of the root's grid relative to the requested bits
 _GRID_FACTOR = 4
+
+#: guard bits of the working precision of the dominant-term values
+_GUARD = 32
+
+#: Newton steps allowed at the starting precision; from x = 2 the
+#: iterates fall monotonically onto rho_k and need far fewer
+_MAX_START_STEPS = 64
 
 
 def _check_bits(bits: int) -> int:
-    if not isinstance(bits, int) or bits < MIN_BITS:
+    if type(bits) is not int or bits < MIN_BITS:
         raise DomainError(f"bits must be an integer >= {MIN_BITS}, got {bits!r}")
     return bits
 
@@ -35,102 +50,131 @@ def contraction_factor(k: int) -> Fraction:
     """Lipschitz constant of eps -> (2 - eps)**(-k) on [0, 2**(1-k)].
 
     Exactly k * (2 - 2**(1-k))**(-(k+1)); less than 1 for every k >= 2
-    (the worst case is k = 2 with 2 / 1.5**3).
+    (the worst case is k = 2 with 2 / 1.5**3), so the gap eps_k = 2 - rho_k
+    is the unique fixed point of that map on the window.
     """
     check_k(k)
     base = Fraction(2**k - 1, 2 ** (k - 1))  # 2 - 2**(1-k)
     return Fraction(k) / base ** (k + 1)
 
 
-def _round_to_grid(x: Fraction, grid_bits: int) -> Fraction:
-    scale = 1 << grid_bits
-    return Fraction(round(x * scale), scale)
+def _scaled_p(x: int, k: int, prec: int) -> int:
+    """2**(prec*(k+1)) * p(x / 2**prec), exactly."""
+    return x**k * (x - (2 << prec)) + (1 << (prec * (k + 1)))
+
+
+def _newton_step(x: int, k: int, prec: int) -> int:
+    """The Newton step p/p' at x / 2**prec, in units of 2**-prec, rounded."""
+    num = _scaled_p(x, k, prec)
+    den = x ** (k - 1) * ((k + 1) * x - (2 * k << prec))  # 2**(prec*k) * p'(x / 2**prec)
+    return (2 * num + den) // (2 * den)
+
+
+def _root_numerator(k: int, grid: int) -> int:
+    """The integer a with rho_k strictly inside ((a-1) / 2**grid, (a+1) / 2**grid).
+
+    Each Newton step roughly doubles the correct bits, so the precisions
+    run from the top down by halving (plus guard bits covering the
+    quadratic term's constant, about k/2) and each is entered with one
+    step.  Raises CertificationError unless the sign change verifies.
+    """
+    guard = k.bit_length() + 4
+    precs = [grid]
+    while precs[-1] > 2 * guard + 32:
+        precs.append(precs[-1] // 2 + guard)
+    prec = precs.pop()
+    x = 2 << prec
+    for _ in range(_MAX_START_STEPS):
+        step = _newton_step(x, k, prec)
+        x -= step
+        if abs(step) <= 1:
+            break
+    else:
+        raise CertificationError(f"Newton iteration for rho_{k} did not settle")
+    for nxt in reversed(precs):
+        x <<= nxt - prec
+        prec = nxt
+        x -= _newton_step(x, k, prec)
+    window_lo = (2 << grid) - (1 << (grid + 1 - k))  # 2 - 2**(1-k)
+    if not (window_lo < x - 1 and x + 1 < 2 << grid
+            and _scaled_p(x - 1, k, grid) < 0 < _scaled_p(x + 1, k, grid)):
+        raise CertificationError(f"no sign change of p certifies rho_{k} at 2**-{grid}")
+    return x
+
+
+def _grid(k: int, bits: int) -> int:
+    # the k term keeps the grid far below the scale 2**-k of the gap itself
+    return _GRID_FACTOR * bits + k + 8
 
 
 def epsilon(k: int, bits: int) -> CertifiedReal:
-    """The gap eps_k = 2 - rho_k with certified error at most 2**-bits.
-
-    Iterates eps <- (2 - eps)**(-k) from eps = 2**-k in exact rationals,
-    re-rounding each iterate to a dyadic grid of 4*bits + k + 8 binary
-    digits so denominators stay bounded (the k term keeps the grid far
-    below the scale 2**-k of the value itself).  Stops once the
-    a-posteriori bound L * |step| / (1 - L) drops below 2**-(bits+1),
-    then inflates the bound by the rounding term delta / (1 - L).
-    """
+    """The gap eps_k = 2 - rho_k with certified error 2**-(4*bits + k + 8)."""
     check_k(k)
     _check_bits(bits)
-    grid_bits = _GRID_FACTOR * bits + k + 8
-    delta = Fraction(1, 1 << grid_bits)
-    lip = contraction_factor(k)
-    one_minus = 1 - lip
-    upper = Fraction(1, 1 << (k - 1))  # 2**(1-k)
-    threshold = Fraction(1, 1 << (bits + 1))
-
-    eps = Fraction(1, 1 << k)
-    while True:
-        nxt = _round_to_grid(1 / (2 - eps) ** k, grid_bits)
-        # the map sends (0, 2**(1-k)) into itself with ample margin; the
-        # grid is far too fine to push an iterate out
-        assert 0 < nxt < upper
-        step = abs(nxt - eps)
-        eps = nxt
-        post = lip * step / one_minus
-        if post <= threshold:
-            return CertifiedReal(eps, post + delta / one_minus)
+    grid = _grid(k, bits)
+    a = _root_numerator(k, grid)
+    return CertifiedReal(Fraction((2 << grid) - a, 1 << grid), Fraction(1, 1 << grid))
 
 
 def rho(k: int, bits: int) -> CertifiedReal:
-    """The dominant root rho_k = 2 - eps_k with certified error <= 2**-bits."""
+    """The dominant root rho_k with certified error 2**-(4*bits + k + 8)."""
     gap = epsilon(k, bits)
     return CertifiedReal(2 - gap.approx, gap.err)
 
 
-def _dominant_term(k: int, idx: int, bits: int) -> CertifiedReal:
-    """(rho-1) / ((k+1)*rho - 2k) * rho**(idx-1) for any integer idx.
+def _dominant_term(k: int, idx: int, prec: int) -> CertifiedReal:
+    """(rho-1) / ((k+1)*rho - 2k) * rho**(idx-1), every operation rounded to prec."""
+    r = rho(k, prec).rounded(prec)
+    lead = ((r - 1) * ((k + 1) * r - 2 * k).reciprocal().rounded(prec)).rounded(prec)
+    return (lead * r.power(idx - 1, prec)).rounded(prec)
 
-    Internal root precision is raised until the propagated bound is at
-    most 2**-bits relative to max(1, |value|).
-    """
-    target = Fraction(1, 1 << bits)
-    working = bits + abs(idx) + 16
-    while True:
-        r = rho(k, working)
-        value = ((r - 1) / ((k + 1) * r - 2 * k)) * r ** (idx - 1)
-        if value.err <= target * max(Fraction(1), abs(value.approx)):
-            return value
-        working *= 2
+
+def _working_precision(k: int, bits: int, idx: int) -> int:
+    # |idx| covers the scale a power of rho moves the value by, either way.
+    # One step of the contraction of contraction_factor can leave a root
+    # exact to about 3k bits; the 3k term keeps every bound here no looser
+    # than exact evaluation from such a root would give.
+    return bits + abs(idx) + 3 * k + _GUARD
+
+
+def _certify(value: CertifiedReal, bits: int) -> CertifiedReal:
+    """value, once its bound is at most 2**-bits relative to max(1, |value|)."""
+    if value.err * (1 << bits) > max(Fraction(1), abs(value.approx)):
+        raise CertificationError(f"working precision missed the 2**-{bits} target")
+    return value
 
 
 def asymptotic(k: int, n: int, bits: int) -> CertifiedReal:
     """The dominant-term value (rho-1)/((k+1)rho - 2k) * rho**(n-1).
 
-    Note the index alignment: under this package's initial values the
-    quantity approximates F[n+k-2], not F[n] (the two coincide at k = 2).
-    It is exactly the limit of the series evaluated by
+    The bound is at most 2**-bits relative to max(1, |value|).  Note the
+    index alignment: under this package's initial values the quantity
+    approximates F[n+k-2], not F[n] (the two coincide at k = 2).  It is
+    exactly the limit of the series evaluated by
     ``series.asymptotic_series_partial``.
     """
     check_k(k)
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise DomainError(f"n must be a nonnegative integer, got {n!r}")
     _check_bits(bits)
-    return _dominant_term(k, n, bits)
+    return _certify(_dominant_term(k, n, _working_precision(k, bits, n)), bits)
 
 
 def asymptotic_ratio(k: int, n: int, bits: int) -> CertifiedReal:
     """F[n] divided by its matched dominant-term approximation.
 
     The denominator is the dominant term at index n-k+2, the alignment
-    under which the ratio tends to 1 as n grows.
+    under which the ratio tends to 1 as n grows.  The bound is at most
+    2**-bits relative to max(1, |ratio|).
     """
     check_k(k)
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
     _check_bits(bits)
-    fib = CertifiedReal.exact(kfib_order_k(k, n))
-    target = Fraction(1, 1 << bits)
-    working = bits + 16
-    while True:
-        ratio = fib / _dominant_term(k, n - k + 2, working)
-        if ratio.err <= target * max(Fraction(1), abs(ratio.approx)):
-            return ratio
-        working *= 2
+    idx = n - k + 2
+    prec = _working_precision(k, bits, idx)
+    term = _dominant_term(k, idx, prec)
+    # the reciprocal stays exact: on the 2**-prec grid a value as small as
+    # 1/term would keep too few of its bits
+    ratio = (kfib_order_k(k, n) * term.reciprocal()).rounded(prec)
+    return _certify(ratio, bits)

@@ -18,3 +18,11 @@ class IntegralityError(ArithmeticError):
 
     This is never expected: it signals an implementation bug, not bad input.
     """
+
+
+class CertificationError(ArithmeticError):
+    """A certificate that holds by construction failed to verify.
+
+    Raised, never asserted, so the check also runs under ``python -O``.
+    Like IntegralityError it signals an implementation bug, not bad input.
+    """

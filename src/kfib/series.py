@@ -18,12 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from itertools import chain
+from math import prod
+from typing import Callable, Iterator
 
 from .binomial import binom
 from .certified import CertifiedReal
 from .core import check_k
-from .errors import DomainError
+from .errors import CertificationError, DomainError
 
 #: consecutive observed ratios required under theta before the geometric
 #: bound is trusted (rides out the transient hump past the sign region)
@@ -54,19 +56,18 @@ class SeriesPartialSum:
 class _TailSeries:
     """A series with cached terms and the windowed geometric tail rule."""
 
-    def __init__(self, term: Callable[[int], Fraction], floor: int, k: int,
+    def __init__(self, terms: Iterator[Fraction], floor: int, k: int,
                  base: Fraction = Fraction(0)):
-        self._term = term
+        self._source = terms
         self.floor = floor  # first index of the all-positive ordinary regime
         self.theta = _theta(k)
         self.base = base
-        self._cache: dict[int, Fraction] = {}
+        self._terms: list[Fraction] = []
 
     def term(self, el: int) -> Fraction:
-        t = self._cache.get(el)
-        if t is None:
-            t = self._cache[el] = self._term(el)
-        return t
+        while len(self._terms) <= el:
+            self._terms.append(next(self._source))
+        return self._terms[el]
 
     def _gate(self, m: int) -> bool:
         # certifies |sum over el >= m| <= |t[m-1]| * theta / (1 - theta):
@@ -84,52 +85,86 @@ class _TailSeries:
         )
 
     def tail_bound(self, terms_used: int) -> Fraction:
+        # the gate first passes at m = floor + _RATIO_WINDOW + 1 or later
+        if self.floor + _RATIO_WINDOW + 1 > terms_used + _MAX_PROBE:
+            raise DomainError(
+                f"the tail bound needs terms up to index {self.floor + _RATIO_WINDOW}, "
+                f"beyond the cap of {_MAX_PROBE} terms past the {terms_used} summed")
         m = terms_used
         bridge = Fraction(0)
         while not self._gate(m):
             bridge += abs(self.term(m))
             m += 1
             if m > terms_used + _MAX_PROBE:
-                raise RuntimeError("tail bound failed to stabilize")
+                raise CertificationError(
+                    f"term ratios stayed above theta for {_MAX_PROBE} terms "
+                    "inside the ordinary regime")
         return bridge + abs(self.term(m - 1)) * self.theta / (1 - self.theta)
 
     def partial(self, terms_used: int) -> SeriesPartialSum:
+        tail = self.tail_bound(terms_used)  # first: it can refuse before any summing
         value = self.base + sum(self.term(el) for el in range(terms_used))
-        return SeriesPartialSum(terms_used, value, self.tail_bound(terms_used))
+        return SeriesPartialSum(terms_used, value, tail)
 
 
 def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
+def _binom_row(k: int, c: int) -> Iterator[int]:
+    """binom((k+1)*el + c, el) for el = 0, 1, 2, ...
+
+    In the ordinary regime top >= el >= 0 (top = (k+1)*el + c) each
+    coefficient follows from the previous one by the exact ratio
+
+        binom(top+k+1, el+1) / binom(top, el)
+            = (top+1) ... (top+k+1) / ((el+1) * (top-el+1) ... (top-el+k)),
+
+    O(k) small-integer products in place of a fresh binomial; the regime
+    persists once entered.  Below it each coefficient comes from binom.
+    """
+    el, top = 0, c
+    val = binom(top, 0)
+    while True:
+        yield val
+        if top >= el:
+            val = val * prod(range(top + 1, top + k + 2)) // (
+                (el + 1) * prod(range(top - el + 1, top - el + k + 1)))
+        else:
+            val = binom(top + k + 1, el + 1)
+        el += 1
+        top += k + 1
+
+
+def _times_pow2(num: int, den: int, e: int) -> Fraction:
+    """num / den * 2**e in a single Fraction construction."""
+    return Fraction(num << e, den) if e >= 0 else Fraction(num, den << -e)
+
+
 def _rho_power_series(k: int, n: int) -> _TailSeries:
-    factor = -n * Fraction(2) ** (n - k - 1)
-
-    def term(el: int) -> Fraction:
-        c = binom(k * (el + 1) + el - n, el)
-        return factor * Fraction(c, (el + 1) * 2 ** ((k + 1) * el))
-
-    return _TailSeries(term, max(0, _ceil_div(n - k, k)), k, base=Fraction(2) ** n)
+    # -n * 2**(n-k-1) * binom(k*(el+1) + el - n, el) / ((el+1) * 2**((k+1)*el))
+    terms = (_times_pow2(-n * c, el + 1, n - k - 1 - (k + 1) * el)
+             for el, c in enumerate(_binom_row(k, k - n)))
+    return _TailSeries(terms, max(0, _ceil_div(n - k, k)), k, base=Fraction(2) ** n)
 
 
 def _hermite_series(k: int, a: int) -> _TailSeries:
-    def term(el: int) -> Fraction:
-        return Fraction(binom((k + 1) * el + a, el), 2 ** ((k + 1) * el))
-
-    return _TailSeries(term, max(0, _ceil_div(-a, k)), k)
+    terms = (Fraction(c, 1 << ((k + 1) * el)) for el, c in enumerate(_binom_row(k, a)))
+    return _TailSeries(terms, max(0, _ceil_div(-a, k)), k)
 
 
 def _asymptotic_series(k: int, n: int) -> _TailSeries:
-    def term(el: int) -> Fraction:
-        top = (k + 1) * el - n
-        c = binom(top, el) - binom(top, el - 1)
-        return c * Fraction(2) ** (n - 2 - (k + 1) * el)
-
-    return _TailSeries(term, max(0, _ceil_div(n, k - 1)), k)
+    # (binom(top, el) - binom(top, el-1)) * 2**(n - 2 - (k+1)*el), top = (k+1)*el - n;
+    # binom(top, el-1) is the row at c = k+1-n one place back, and 0 at el = 0
+    # for every admitted n (n = 0 or n >= 2)
+    lower = chain([0], _binom_row(k, k + 1 - n))
+    terms = (_times_pow2(b - b1, 1, n - 2 - (k + 1) * el)
+             for el, (b, b1) in enumerate(zip(_binom_row(k, -n), lower)))
+    return _TailSeries(terms, max(0, _ceil_div(n, k - 1)), k)
 
 
 def _check_terms(terms: int) -> int:
-    if not isinstance(terms, int) or terms < 0:
+    if type(terms) is not int or terms < 0:
         raise DomainError(f"term count must be a nonnegative integer, got {terms!r}")
     return terms
 
@@ -141,7 +176,7 @@ def rho_power_partial(k: int, n: int, terms: int) -> SeriesPartialSum:
     at n = 1 the k = 2 case is the classical golden-ratio series.
     """
     check_k(k)
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
     _check_terms(terms)
     return _rho_power_series(k, n).partial(terms)
@@ -154,7 +189,7 @@ def hermite_sum_partial(k: int, a: int, terms: int) -> SeriesPartialSum:
     integer a.
     """
     check_k(k)
-    if not isinstance(a, int):
+    if type(a) is not int:
         raise DomainError(f"a must be an integer, got {a!r}")
     _check_terms(terms)
     return _hermite_series(k, a).partial(terms)
@@ -170,7 +205,7 @@ def asymptotic_series_partial(k: int, n: int, terms: int) -> SeriesPartialSum:
     derivation relies on it.
     """
     check_k(k)
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise DomainError(f"n must be a nonnegative integer, got {n!r}")
     if n == 1:
         raise DomainError("n = 1 is excluded from the dominant-term series")

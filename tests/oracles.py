@@ -3,14 +3,22 @@
 Nothing here shares code paths with the package: factorials are computed
 by a local loop, the golden ratio comes from an integer square root, and
 dominant roots come from sign-change bisection on the degree-(k+1)
-polynomial.  Each oracle returns exact rationals with explicit error
-intervals so comparisons against certified package output stay rigorous.
+polynomial or from mpmath's bracketing root finder at twice the precision.
+Each oracle returns exact rationals with explicit error intervals so
+comparisons against certified package output stay rigorous; the mpmath
+intervals are an allowance of 2**8 units in the last place of the working
+precision rather than a proof.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
+
+import mpmath
+
+#: units in the last place allowed for an mpmath reference
+MP_SLACK_BITS = 8
 
 
 def plain_factorial(n: int) -> int:
@@ -69,3 +77,47 @@ def fib_pair(n: int) -> tuple[int, int]:
     for _ in range(n - 1):
         a, b = b, a + b
     return b, a
+
+
+def _mp_fraction(x) -> Fraction:
+    man, exp = x.man_exp
+    return Fraction(int(man)) * Fraction(2) ** int(exp)
+
+
+def _mp_root(k: int):
+    """rho_k at mpmath's current precision: the Anderson-Bjorck bracketing
+    solver on (2 - 2**(1-k), 2), where the root is the only zero."""
+    lo, hi = 2 - mpmath.mpf(2) ** (1 - k), mpmath.mpf(2)
+    return mpmath.findroot(lambda x: x ** (k + 1) - 2 * x**k + 1, (lo, hi),
+                           solver="anderson")
+
+
+def mpmath_dominant_root(k: int, bits: int) -> tuple[Fraction, Fraction]:
+    """(approx, err) for rho_k from mpmath.findroot at 2*bits + 64 bits."""
+    prec = 2 * bits + 64
+    with mpmath.workprec(prec):
+        root = _mp_root(k)
+    return _mp_fraction(root), Fraction(1, 2 ** (prec - 1 - MP_SLACK_BITS))
+
+
+def mpmath_asymptotic(k: int, n: int, bits: int, ratio: bool = False
+                      ) -> tuple[Fraction, Fraction]:
+    """(approx, err) for the dominant term at index n, or for F[n] over the
+    dominant term at n-k+2 (``ratio``), in mpmath at 2*bits + 64 bits plus
+    the bits that rho**n amplifies the root's error by.
+
+    F[n] comes from a local order-k window sum of Python integers.
+    """
+    idx = n - k + 2 if ratio else n
+    prec = 2 * bits + 64 + abs(idx).bit_length()
+    with mpmath.workprec(prec):
+        r = _mp_root(k)
+        value = (r - 1) / ((k + 1) * r - 2 * k) * r ** (idx - 1)
+        if ratio:
+            window = [0] * (k - 1) + [1]
+            for _ in range(n - k + 1):
+                window = window[1:] + [sum(window)]
+            value = (window[-1] if n >= k - 1 else 0) / value
+        approx = _mp_fraction(value)
+    rel = Fraction(abs(idx) + 2, 2 ** (prec - 1 - MP_SLACK_BITS))
+    return approx, rel * max(1, abs(approx))

@@ -3,7 +3,7 @@ from hypothesis import strategies as st
 
 from kfib.binomial import binom
 
-from oracles import factorial_binom
+from oracles import factorial_binom, plain_factorial
 
 
 def test_known_values():
@@ -59,3 +59,13 @@ def test_negative_top_is_signed_ordinary(a, b):
     # falling factorial over a negative top equals a signed ordinary coefficient
     if a < 0:
         assert binom(a, b) == (-1) ** (b % 2) * binom(b - a - 1, b)
+
+
+def test_negative_top_matches_falling_product():
+    # the definition itself, a * (a-1) * ... * (a-b+1) / b!, by a local loop
+    for a in range(-60, 0):
+        for b in range(0, 70):
+            prod = 1
+            for i in range(b):
+                prod *= a - i
+            assert binom(a, b) == prod // plain_factorial(b), (a, b)

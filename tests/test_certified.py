@@ -84,3 +84,36 @@ def test_negative_pow_and_division_enclose_truth(pa, m):
             a ** (-m)
     else:
         assert (a ** (-m)).contains(ta ** (-m))
+
+
+@given(certified_pairs(), st.integers(0, 256))
+@settings(max_examples=150)
+def test_rounding_keeps_enclosure(pa, prec):
+    a, ta = pa
+    r = a.rounded(prec)
+    assert r.contains(ta)
+    assert (r.approx * 2**prec).denominator == 1
+    # the radius is a short dyadic, at most twice the widened exact radius
+    assert r.err.denominator & (r.err.denominator - 1) == 0
+    assert r.err.numerator.bit_length() <= 31
+    assert r.err <= 2 * (a.err + abs(a.approx - r.approx))
+
+
+@given(certified_pairs(), st.integers(-6, 24), st.integers(0, 128))
+@settings(max_examples=150)
+def test_rounded_power_encloses_truth(pa, m, prec):
+    a, ta = pa
+    try:
+        p = a.power(m, prec)
+    except ZeroDivisionError:  # m < 0 and the power's ball reaches zero
+        assert m < 0
+        return
+    assert p.contains(ta**m)
+    assert m < 0 or p.approx.denominator <= 2**prec
+
+
+def test_exact_power_is_unrounded():
+    a = CertifiedReal(Fraction(7, 5), Fraction(1, 1000))
+    p = a**5
+    assert p.approx == Fraction(7, 5) ** 5
+    assert p.err == (Fraction(7, 5) + Fraction(1, 1000)) ** 5 - Fraction(7, 5) ** 5

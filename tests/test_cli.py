@@ -1,9 +1,13 @@
 import json
+import sys
+import time
 from fractions import Fraction
 
 import pytest
 
+from kfib import dominant_root
 from kfib.cli import run
+from kfib.core import kfib_order_k
 from kfib.verify import verify_erratum, verify_series
 
 
@@ -187,3 +191,46 @@ def test_verify_erratum_counts_divergences():
     summary = [c for c in report.cells if c.check == "divergence-exists"]
     assert len(summary) == 1 and summary[0].ok
     assert int(summary[0].actual) >= 3
+
+
+def test_fib_beyond_int_str_digit_limit(capsys):
+    # CPython >= 3.11 limits int <-> str conversions to 4300 digits
+    limited = hasattr(sys, "set_int_max_str_digits")
+    limit = sys.get_int_max_str_digits() if limited else None
+    code, out, err = run_capture(capsys, "--quiet", "fib", "--k", "3", "--n", "20000")
+    assert code == 0 and err == ""
+    assert len(out.strip()) > 4300
+    if not limited:
+        assert int(out) == kfib_order_k(3, 20000)
+        return
+    assert sys.get_int_max_str_digits() == limit  # lifted for the conversion only
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int(out) == kfib_order_k(3, 20000)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_series_tail_cap_exits_3_fast(capsys):
+    started = time.perf_counter()
+    code, out, err = run_capture(capsys, "series", "--which", "thm2", "--k", "2",
+                                 "--a", "-250000")
+    assert time.perf_counter() - started < 1
+    assert code == 3 and out == ""
+    assert err.startswith("domain error:") and "cap" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_rho_method_label(capsys):
+    code, out, _ = run_capture(capsys, "--format", "json", "rho", "--k", "3",
+                               "--bits", "64")
+    assert code == 0
+    (rec,) = json.loads(out)
+    assert rec["method"] == "newton"
+
+
+def test_failed_certificate_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(dominant_root, "_newton_step", lambda x, k, prec: 0)
+    code, out, err = run_capture(capsys, "rho", "--k", "3")
+    assert code == 5 and out == ""
+    assert err.startswith("internal error: CertificationError")

@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kfib
 from kfib.core import (
     count_compositions,
     kfib_order_k,
@@ -102,3 +105,27 @@ def test_n_validation():
 @settings(max_examples=80)
 def test_engines_agree_property(k, n):
     assert kfib_order_k(k, n) == kfib_order_k1(k, n)
+
+
+def test_bool_arguments_rejected_by_every_entry_point():
+    # bool is an int subclass, but True/False are no order, index or size
+    valid = [
+        (kfib.kfib_order_k, 3, 9), (kfib.kfib_order_k1, 3, 9), (kfib.kfib_table, 3, 9),
+        (kfib.count_compositions, 3, 5), (kfib.fib_binomial, 9),
+        (kfib.kfib_binomial, 3, 9), (kfib.kfib_binomial_shifted, 3, 9),
+        (kfib.kfib_ordinary, 3, 9), (kfib.kfib_ordinary_alt, 3, 9),
+        (kfib.kfib_ordinary_erroneous, 3, 9), (kfib.contraction_factor, 3),
+        (kfib.term_ratio_limit, 3), (kfib.epsilon, 3, 16), (kfib.rho, 3, 16),
+        (kfib.asymptotic, 3, 9, 16), (kfib.asymptotic_ratio, 3, 9, 16),
+        (kfib.rho_power_partial, 3, 2, 4), (kfib.hermite_sum_partial, 3, -1, 4),
+        (kfib.asymptotic_series_partial, 3, 9, 4),
+        (kfib.rho_power_via_series, 3, 2, Fraction(1, 10**6)),
+    ]
+    for fn, *args in valid:
+        ints = [i for i, x in enumerate(args) if type(x) is int]
+        fn(*args)  # the unaltered call is accepted
+        for i in ints:
+            for flag in (True, False):
+                bad = args[:i] + [flag] + args[i + 1:]
+                with pytest.raises(DomainError):
+                    fn(*bad)

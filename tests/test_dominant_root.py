@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from kfib import dominant_root
 from kfib.core import kfib_order_k
 from kfib.dominant_root import (
     asymptotic,
@@ -10,9 +11,14 @@ from kfib.dominant_root import (
     epsilon,
     rho,
 )
-from kfib.errors import DomainError
+from kfib.errors import CertificationError, DomainError
 
-from oracles import bisect_dominant_root, phi_reference
+from oracles import (
+    bisect_dominant_root,
+    mpmath_asymptotic,
+    mpmath_dominant_root,
+    phi_reference,
+)
 
 
 def test_contraction_factor_below_one():
@@ -150,3 +156,47 @@ def test_domain_validation():
         asymptotic(2, -1, 64)
     with pytest.raises(DomainError):
         asymptotic_ratio(2, 0, 64)
+
+
+SWEEP_K = (*range(2, 17), 20, 40, 64)
+SWEEP_BITS = (8, 16, 64, 256, 1024)
+
+
+def test_rho_and_epsilon_enclose_mpmath_root():
+    for k in SWEEP_K:
+        for bits in SWEEP_BITS:
+            ref, ref_err = mpmath_dominant_root(k, bits)
+            r, e = rho(k, bits), epsilon(k, bits)
+            assert r.err <= Fraction(1, 2 ** (4 * bits + k + 8)), (k, bits)
+            assert e.err <= Fraction(1, 2 ** (4 * bits + k + 8)), (k, bits)
+            assert abs(r.approx - ref) <= r.err + ref_err, (k, bits)
+            assert abs(e.approx - (2 - ref)) <= e.err + ref_err, (k, bits)
+
+
+def test_asymptotic_and_ratio_enclose_mpmath():
+    bits = 64
+    for k in (2, 3, 4, 5):
+        for n in (1, 25, 200, 1000):
+            for fn, ratio in ((asymptotic, False), (asymptotic_ratio, True)):
+                v = fn(k, n, bits)
+                ref, ref_err = mpmath_asymptotic(k, n, bits, ratio)
+                assert v.err <= Fraction(1, 2**bits) * max(1, abs(v.approx)), (k, n, ratio)
+                assert abs(v.approx - ref) <= v.err + ref_err, (k, n, ratio)
+
+
+def test_failed_sign_change_raises(monkeypatch):
+    # a Newton step that never moves leaves x = 2, outside the window
+    monkeypatch.setattr(dominant_root, "_newton_step", lambda x, k, prec: 0)
+    with pytest.raises(CertificationError):
+        rho(3, 64)
+    with pytest.raises(CertificationError):
+        epsilon(3, 64)
+
+
+def test_missed_target_raises(monkeypatch):
+    # too few working bits for rho**199 to keep 64 bits: no retry, an error
+    monkeypatch.setattr(dominant_root, "_working_precision", lambda k, bits, idx: 8)
+    with pytest.raises(CertificationError):
+        asymptotic(2, 200, 64)
+    with pytest.raises(CertificationError):
+        asymptotic_ratio(2, 200, 64)

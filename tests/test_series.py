@@ -7,6 +7,10 @@ from kfib.closed_forms import kfib_binomial_shifted
 from kfib.dominant_root import asymptotic, rho
 from kfib.errors import DomainError
 from kfib.series import (
+    _asymptotic_series,
+    _binom_row,
+    _hermite_series,
+    _rho_power_series,
     adaptive_partial,
     asymptotic_series_partial,
     hermite_sum_partial,
@@ -172,3 +176,54 @@ def test_domain_validation():
         hermite_sum_partial(2, 0, -1)
     with pytest.raises(DomainError):
         rho_power_via_series(2, 1, Fraction(0))
+
+
+def _same(term: Fraction, num: int, den: int, e: int) -> bool:
+    """term == num * 2**e / den, compared without building the right side."""
+    if e >= 0:
+        num <<= e
+    else:
+        den <<= -e
+    return term.numerator * den == num * term.denominator
+
+
+def test_binom_rows_match_binom():
+    # every coefficient row the three series draw on for k = 2..6,
+    # a in [-40, 40] (thm2: c = a) and n <= 60 (thm1: c = k - n; thm3:
+    # c = -n and k + 1 - n): the exact-ratio recurrence of the ordinary
+    # regime, and its hand-over from binom at the regime's start, agree
+    # with binom term by term
+    for k in range(2, 7):
+        for c in range(-60, 41):
+            row = _binom_row(k, c)
+            for el in range(300):
+                assert next(row) == binom((k + 1) * el + c, el), (k, c, el)
+
+
+def test_terms_match_binom_per_term_definition():
+    for k in range(2, 7):
+        step = k + 1
+        for a in (-40, -13, -7, -1, 0, 1, 40):
+            terms = _hermite_series(k, a)
+            for el in range(300):
+                c = binom(step * el + a, el)
+                assert _same(terms.term(el), c, 1, -step * el), (k, a, el)
+        for n in (1, 2, 7, 30, 60):
+            terms = _rho_power_series(k, n)
+            for el in range(300):
+                c = binom(k * (el + 1) + el - n, el)
+                e = n - k - 1 - step * el  # -n * 2**(n-k-1) * c / ((el+1) * 2**(step*el))
+                assert _same(terms.term(el), -n * c, el + 1, e), (k, n, el)
+        for n in (0, 2, 7, 30, 60):
+            terms = _asymptotic_series(k, n)
+            for el in range(300):
+                top = step * el - n
+                c = binom(top, el) - binom(top, el - 1)
+                assert _same(terms.term(el), c, 1, n - 2 - step * el), (k, n, el)
+
+
+def test_tail_cap_refused_before_bridging():
+    # the ordinary regime starts at el = 125000, past the probe cap: the
+    # tail bound is refused at once instead of bridging 1e5 terms first
+    with pytest.raises(DomainError, match="cap"):
+        hermite_sum_partial(2, -250000, 4)
