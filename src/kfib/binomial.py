@@ -9,11 +9,16 @@ integer arguments by the three-case definition::
 
 The result is always an exact integer: any product of b consecutive
 integers is divisible by b!.
+
+``binom_row(k, c)`` walks the Lagrange-inversion coefficients
+``binom((k+1)*el + c, el)`` by exact term ratios; the closed forms and the
+series both draw on it.
 """
 
 from __future__ import annotations
 
-from math import comb, factorial, perm
+from math import comb, factorial, perm, prod
+from typing import Iterator
 
 
 def binom(a: int, b: int) -> int:
@@ -24,9 +29,40 @@ def binom(a: int, b: int) -> int:
         # a * (a-1) * ... * (a-b+1) = (-1)**b * |a| * (|a|+1) * ... * (|a|+b-1),
         # the falling product perm(|a|+b-1, b); exact, so floor division never
         # truncates here
-        prod = perm(b - a - 1, b)
-        return (-prod if b & 1 else prod) // factorial(b)
+        falling = perm(b - a - 1, b)
+        return (-falling if b & 1 else falling) // factorial(b)
     if a >= b:
         # a - b >= 0, so this resolves in the first case; depth is one.
         return binom(a, a - b)
     return 0
+
+
+def binom_row(k: int, c: int) -> Iterator[int]:
+    """binom((k+1)*el + c, el) for el = 0, 1, 2, ...
+
+    With top = (k+1)*el + c, both sides of
+
+        binom(top+k+1, el+1) * (el+1) * (top-el+1) ... (top-el+k)
+            = binom(top, el) * (top+1) ... (top+k+1)
+
+    are the product of the consecutive integers top-el+1 .. top+k+1 over
+    el! (el >= 0), for every integer top: negative tops, the zero region
+    0 <= top < el and the ordinary regime alike.  So each coefficient
+    follows from the previous one by O(k) small-integer products and one
+    exact division whenever the cancelled product D = (top-el+1) ...
+    (top-el+k) is nonzero.  D vanishes only where top - el = k*el + c lies
+    in [-k, -1], which is at most one step of the row (a regime boundary);
+    that coefficient comes from binom.
+    """
+    el, top = 0, c
+    val = 1
+    while True:
+        yield val
+        low = top - el + 1
+        if low <= 0 < low + k:
+            val = binom(top + k + 1, el + 1)
+        else:
+            val = val * prod(range(top + 1, top + k + 2)) // (
+                (el + 1) * prod(range(low, low + k)))
+        el += 1
+        top += k + 1

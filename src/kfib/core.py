@@ -64,16 +64,17 @@ def kfib_order_k1(k: int, n: int) -> int:
     """F[n] via the order-(k+1) recurrence F[m+k+1] = 2*F[m+k] - F[m].
 
     Seeded with F[0..k]: all zero except F[k-1] = F[k] = 1 (the value of
-    F[k] follows from one step of the order-k rule).
+    F[k] follows from one step of the order-k rule).  Only the k+1 values
+    a step reads are kept, so memory stays O(k) values rather than O(n).
     """
     check_k(k)
     _check_n(n)
-    values = [0] * (k - 1) + [1, 1]
+    window = deque([0] * (k - 1) + [1, 1], maxlen=k + 1)  # F[m..m+k]
     if n <= k:
-        return values[n]
-    for m in range(n - k):
-        values.append(2 * values[-1] - values[m])
-    return values[n]
+        return window[n]
+    for _ in range(n - k):
+        window.append(2 * window[-1] - window[0])
+    return window[-1]
 
 
 def kfib_table(k: int, n_max: int) -> FibTable:

@@ -19,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import prod
 from typing import Callable, Iterator
 
-from .binomial import binom
+from .binomial import binom_row as _binom_row
 from .certified import CertifiedReal
 from .core import check_k
 from .errors import CertificationError, DomainError
@@ -109,31 +108,6 @@ class _TailSeries:
 
 def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
-
-
-def _binom_row(k: int, c: int) -> Iterator[int]:
-    """binom((k+1)*el + c, el) for el = 0, 1, 2, ...
-
-    In the ordinary regime top >= el >= 0 (top = (k+1)*el + c) each
-    coefficient follows from the previous one by the exact ratio
-
-        binom(top+k+1, el+1) / binom(top, el)
-            = (top+1) ... (top+k+1) / ((el+1) * (top-el+1) ... (top-el+k)),
-
-    O(k) small-integer products in place of a fresh binomial; the regime
-    persists once entered.  Below it each coefficient comes from binom.
-    """
-    el, top = 0, c
-    val = binom(top, 0)
-    while True:
-        yield val
-        if top >= el:
-            val = val * prod(range(top + 1, top + k + 2)) // (
-                (el + 1) * prod(range(top - el + 1, top - el + k + 1)))
-        else:
-            val = binom(top + k + 1, el + 1)
-        el += 1
-        top += k + 1
 
 
 def _times_pow2(num: int, den: int, e: int) -> Fraction:

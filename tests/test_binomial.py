@@ -1,7 +1,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kfib.binomial import binom
+from kfib.binomial import binom, binom_row
 
 from oracles import factorial_binom, plain_factorial
 
@@ -69,3 +69,19 @@ def test_negative_top_matches_falling_product():
             for i in range(b):
                 prod *= a - i
             assert binom(a, b) == prod // plain_factorial(b), (a, b)
+
+
+def test_binom_row_matches_binom_in_every_regime():
+    # top = (k+1)*el + c runs through the negative tops, the zero region
+    # 0 <= top < el and the ordinary regime top >= el; the row must agree
+    # with binom in all three and across both boundaries
+    for k in range(2, 9):
+        for c in range(-200, 61):
+            seen = set()
+            row = binom_row(k, c)
+            for el in range(max(0, -c) // k + 2 * k + 4):
+                top = (k + 1) * el + c
+                seen.add("negative" if top < 0 else "zero" if top < el else "ordinary")
+                assert next(row) == binom(top, el), (k, c, el)
+            if c <= -(k + 1) * k:
+                assert seen == {"negative", "zero", "ordinary"}, (k, c)

@@ -1,5 +1,11 @@
-import pytest
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kfib import binomial, closed_forms
+from kfib.binomial import binom
 from kfib.closed_forms import (
     _ordinary_sum,
     fib_binomial,
@@ -9,9 +15,9 @@ from kfib.closed_forms import (
     kfib_ordinary_alt,
     kfib_ordinary_erroneous,
 )
-from kfib.core import kfib_table
+from kfib.core import kfib_order_k, kfib_table
 from kfib.dyadic import Dyadic
-from kfib.errors import DomainError
+from kfib.errors import DomainError, IntegralityError
 
 
 def test_shifted_sum_known_values():
@@ -137,3 +143,82 @@ def test_erroneous_agrees_at_k2():
     table = kfib_table(2, 300)
     for n in range(2, 301):
         assert kfib_ordinary_erroneous(2, n) == table[n], n
+
+
+FORMS = (kfib_binomial, kfib_ordinary, kfib_ordinary_alt)
+
+
+def _misranged_tail(k, n):
+    # the terms the erroneous range adds past the correct limit, by definition
+    extra = Fraction(0)
+    for el in range((n - k + 1) // (k + 1) + 1, (n - 1) // (k + 1) + 1):
+        coeff = binom(n - (el + 1) * k + 2, el) - binom(n - (el + 1) * k, el - 2)
+        extra += (-1) ** el * coeff * Fraction(2) ** (n - k - (k + 1) * el)
+    return extra
+
+
+def _check_all_forms(k, n, f):
+    assert kfib_binomial(k, n) == f, (k, n)
+    assert kfib_ordinary_alt(k, n) == f, (k, n)
+    if n != 2 * k - 1:
+        assert kfib_ordinary(k, n) == f, (k, n)
+    assert kfib_binomial_shifted(k, n - k + 2) == f, (k, n)
+    assert kfib_ordinary_erroneous(k, n) == f + _misranged_tail(k, n), (k, n)
+
+
+def test_every_closed_form_matches_order_k():
+    for k in range(2, 13):
+        for n in range(k, 601):
+            _check_all_forms(k, n, kfib_order_k(k, n))
+
+
+@given(st.integers(2, 40), st.integers(0, 5000))
+@settings(max_examples=60, deadline=None)
+def test_every_closed_form_matches_order_k_wide(k, n):
+    n = max(n, k)
+    _check_all_forms(k, n, kfib_order_k(k, n))
+
+
+def test_corrupted_coefficient_raises(monkeypatch):
+    # the last coefficient carries weight 2**-1 when (k+1) divides the
+    # range's top, so adding one to it must trip the integrality check
+    original = closed_forms._shift_sum
+
+    def corrupted(coeffs, k, e0):
+        coeffs = list(coeffs)
+        coeffs[-1] += 1
+        return original(coeffs, k, e0)
+
+    monkeypatch.setattr(closed_forms, "_shift_sum", corrupted)
+    for k in (2, 3, 7):
+        n = 5 * (k + 1) + k - 1  # (k+1) divides n-k+1
+        for form in FORMS:
+            with pytest.raises(IntegralityError):
+                form(k, n)
+        with pytest.raises(IntegralityError):
+            kfib_binomial_shifted(k, n - k + 2)  # (k+1) divides n-1
+
+
+def test_binom_calls_do_not_grow_with_n(monkeypatch):
+    # each closed form draws its coefficients from one term-ratio row;
+    # binom is left only for at most one misranged term of the erroneous
+    # form (two calls), never one call per term
+    calls = []
+    original = binomial.binom
+
+    def counted(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(binomial, "binom", counted)
+    monkeypatch.setattr(closed_forms, "binom", counted)
+    forms = FORMS + (kfib_binomial_shifted, kfib_ordinary_erroneous)
+    for k in range(2, 9):
+        for n in (4096, 4099):
+            for form in forms:
+                calls.clear()
+                form(k, n)
+                assert len(calls) <= 2, (form.__name__, k, n, len(calls))
+    calls.clear()
+    kfib_ordinary_erroneous(5, 4099)  # one misranged term: the wrapper sees it
+    assert len(calls) == 2
