@@ -4,81 +4,47 @@ dominant-root asymptotics.
 Everything is computed in exact arithmetic (integers, dyadic rationals,
 or rationals with explicit error bounds); no floating point enters any
 result.
+
+Importing the package loads none of its modules: each public name is
+imported from its home module on first access (PEP 562), so ``kfib.rho``
+loads the root and what it needs, and ``import kfib.cli`` loads only the
+command line front end.
 """
 
-from .binomial import binom
-from .certified import CertifiedReal
-from .closed_forms import (
-    fib_binomial,
-    kfib_binomial,
-    kfib_binomial_shifted,
-    kfib_ordinary,
-    kfib_ordinary_alt,
-    kfib_ordinary_erroneous,
-)
-from .core import (
-    ORACLE_CAP,
-    FibTable,
-    count_compositions,
-    kfib_order_k,
-    kfib_order_k1,
-    kfib_table,
-)
-from .dominant_root import (
-    asymptotic,
-    asymptotic_ratio,
-    contraction_factor,
-    epsilon,
-    rho,
-)
-from .dyadic import Dyadic
-from .errors import CertificationError, DomainError, IntegralityError, OracleCapError
-from .series import (
-    SeriesPartialSum,
-    adaptive_partial,
-    asymptotic_series_partial,
-    hermite_sum_partial,
-    rho_power_partial,
-    rho_power_via_series,
-    term_ratio_limit,
-)
-from .verify import VerifyCell, VerifyReport, run_suites
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "binom",
-    "CertifiedReal",
-    "fib_binomial",
-    "kfib_binomial",
-    "kfib_binomial_shifted",
-    "kfib_ordinary",
-    "kfib_ordinary_alt",
-    "kfib_ordinary_erroneous",
-    "ORACLE_CAP",
-    "FibTable",
-    "count_compositions",
-    "kfib_order_k",
-    "kfib_order_k1",
-    "kfib_table",
-    "asymptotic",
-    "asymptotic_ratio",
-    "contraction_factor",
-    "epsilon",
-    "rho",
-    "Dyadic",
-    "CertificationError",
-    "DomainError",
-    "IntegralityError",
-    "OracleCapError",
-    "SeriesPartialSum",
-    "adaptive_partial",
-    "asymptotic_series_partial",
-    "hermite_sum_partial",
-    "rho_power_partial",
-    "rho_power_via_series",
-    "term_ratio_limit",
-    "VerifyCell",
-    "VerifyReport",
-    "run_suites",
-]
+#: home module -> the public names it defines
+_EXPORTS = {
+    "binomial": ("binom",),
+    "certified": ("CertifiedReal",),
+    "closed_forms": ("fib_binomial", "kfib_binomial", "kfib_binomial_shifted",
+                     "kfib_ordinary", "kfib_ordinary_alt", "kfib_ordinary_erroneous"),
+    "core": ("ORACLE_CAP", "FibTable", "count_compositions", "kfib_order_k",
+             "kfib_order_k1", "kfib_table"),
+    "dominant_root": ("asymptotic", "asymptotic_ratio", "contraction_factor",
+                      "epsilon", "rho"),
+    "dyadic": ("Dyadic",),
+    "errors": ("CertificationError", "DomainError", "IntegralityError", "OracleCapError"),
+    "series": ("SeriesPartialSum", "adaptive_partial", "asymptotic_series_partial",
+               "hermite_sum_partial", "rho_power_partial", "rho_power_via_series",
+               "term_ratio_limit"),
+    "verify": ("VerifyCell", "VerifyReport", "run_suites"),
+}
+
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

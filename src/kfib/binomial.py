@@ -17,8 +17,8 @@ series both draw on it.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from math import comb, factorial, perm, prod
-from typing import Iterator
 
 
 def binom(a: int, b: int) -> int:

@@ -17,7 +17,6 @@ true value.  Values that are never rounded stay exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 #: mantissa bits of a rounded radius; the radius only has to be an upper
@@ -42,16 +41,37 @@ def _round_up(r: Fraction) -> Fraction:
     return Fraction(-((-num) // (den << -shift)) << -shift)
 
 
-@dataclass(frozen=True)
 class CertifiedReal:
-    approx: Fraction
-    err: Fraction
+    """An immutable ball: exact rationals ``approx`` and ``err >= 0``."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "approx", _frac(self.approx))
-        object.__setattr__(self, "err", _frac(self.err))
-        if self.err < 0:
+    __slots__ = ("approx", "err")
+
+    def __init__(self, approx, err):
+        approx, err = _frac(approx), _frac(err)
+        if err < 0:
             raise ValueError("error bound must be nonnegative")
+        object.__setattr__(self, "approx", approx)
+        object.__setattr__(self, "err", err)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not CertifiedReal:
+            return NotImplemented
+        return self.approx == other.approx and self.err == other.err
+
+    def __hash__(self):
+        return hash((self.approx, self.err))
+
+    def __repr__(self):
+        return f"CertifiedReal(approx={self.approx!r}, err={self.err!r})"
+
+    def __reduce__(self):
+        return CertifiedReal, (self.approx, self.err)
 
     @classmethod
     def exact(cls, value) -> "CertifiedReal":

@@ -7,6 +7,11 @@ Exact integers print in full, however many digits they have.  ``rho``
 reports its root as method "newton": Newton steps certified by an exact
 sign change of the characteristic polynomial.
 
+A command imports only the layers it runs: importing this module loads
+``kfib.errors`` and nothing else of the package, and each library function
+a handler calls is imported on first use (``fib --method recurrence``
+loads ``core`` alone, ``rho`` the root, ``verify`` every layer).
+
 Exit codes: 0 success, 2 usage error, 3 domain error (including a series
 whose tail bound would need terms past the probe cap), 4 verification
 failure, 5 a certificate that failed to verify (an internal error).
@@ -18,36 +23,40 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
+from importlib import import_module
 
-from .certified import CertifiedReal
-from .closed_forms import (
-    kfib_binomial,
-    kfib_ordinary,
-    kfib_ordinary_alt,
-)
-from .core import kfib_order_k, kfib_order_k1
-from .dominant_root import asymptotic, asymptotic_ratio, epsilon, rho
 from .errors import CertificationError, DomainError, IntegralityError, OracleCapError
-from .series import (
-    SeriesPartialSum,
-    adaptive_partial,
-    asymptotic_series_partial,
-    hermite_sum_partial,
-    rho_power_partial,
-)
-from .verify import SUITES, VerifyReport, run_suites
+
+TYPE_CHECKING = False  # true for type checkers; importing typing costs start-up time
+if TYPE_CHECKING:
+    from .certified import CertifiedReal
+    from .series import SeriesPartialSum
+    from .verify import VerifyReport
 
 
-@dataclass(frozen=True)
-class OutputRecord:
-    command: str
-    params: dict[str, str]
-    value: str
-    exact: bool
-    error_bound: str | None
-    method: str
+def _load(name: str):
+    """The library function ``name``, imported on first use.
+
+    The package resolves each public name from its home module.  The
+    function is kept as a module global, where a top-level ``from .x
+    import f`` would have put it, and every call reads it from there, so
+    whatever replaces that global (a test double, a tracing wrapper) is
+    what runs.
+    """
+    g = globals()
+    if name not in g:
+        g[name] = getattr(import_module(__package__), name)
+    return g[name]
+
+
+class OutputRecord(namedtuple("OutputRecord",
+                              "command params value exact error_bound method")):
+    """One result: ``params`` maps str to str, ``exact`` is a bool, and the
+    other fields are strings; ``error_bound`` is None when exact."""
+
+    __slots__ = ()
 
 
 # -- decimal rendering ---------------------------------------------------
@@ -193,8 +202,18 @@ def _emit_reports(reports: list[VerifyReport], fmt: str, quiet: bool) -> None:
 
 # -- argument parsing ----------------------------------------------------
 
-FIB_METHODS = ("recurrence", "recurrence-k1", "binomial", "ordinary",
-               "ordinary-alt", "all")
+#: fib --method -> the engine that computes it
+FIB_ENGINES = {
+    "recurrence": "kfib_order_k",
+    "recurrence-k1": "kfib_order_k1",
+    "binomial": "kfib_binomial",
+    "ordinary": "kfib_ordinary",
+    "ordinary-alt": "kfib_ordinary_alt",
+}
+FIB_METHODS = (*FIB_ENGINES, "all")
+#: the suites of ``kfib.verify.SUITES``, named here so that building the
+#: parser does not import the verify sweeps
+SUITES = ("engines", "identities", "series", "erratum")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,16 +266,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_fib(args, parser) -> tuple[list[OutputRecord], int]:
     k, n = args.k, args.n
-    engines = {
-        "recurrence": kfib_order_k,
-        "recurrence-k1": kfib_order_k1,
-        "binomial": kfib_binomial,
-        "ordinary": kfib_ordinary,
-        "ordinary-alt": kfib_ordinary_alt,
-    }
+
+    def engine(method):
+        return _load(FIB_ENGINES[method])
+
     params = {"k": str(k), "n": str(n)}
     if args.method != "all":
-        value = engines[args.method](k, n)
+        value = engine(args.method)(k, n)
         return [OutputRecord("fib", params, _int_decimal(value), True, None,
                              args.method)], 0
     methods = ["recurrence", "recurrence-k1"]
@@ -265,7 +281,7 @@ def _run_fib(args, parser) -> tuple[list[OutputRecord], int]:
         if n != 2 * k - 1:
             methods.append("ordinary")
         methods.append("ordinary-alt")
-    records = [OutputRecord("fib", params, _int_decimal(engines[m](k, n)), True, None, m)
+    records = [OutputRecord("fib", params, _int_decimal(engine(m)(k, n)), True, None, m)
                for m in methods]
     values = {r.value for r in records}
     if len(values) > 1:
@@ -278,10 +294,10 @@ def _run_fib(args, parser) -> tuple[list[OutputRecord], int]:
 def _run_rho(args, parser) -> tuple[list[OutputRecord], int]:
     params = {"k": str(args.k), "bits": str(args.bits)}
     if args.epsilon:
-        value = epsilon(args.k, args.bits)
+        value = _load("epsilon")(args.k, args.bits)
         return [_certified_record("rho", dict(params, quantity="epsilon"),
                                   value, "newton")], 0
-    value = rho(args.k, args.bits)
+    value = _load("rho")(args.k, args.bits)
     return [_certified_record("rho", dict(params, quantity="rho"),
                               value, "newton")], 0
 
@@ -295,15 +311,16 @@ def _run_series(args, parser) -> tuple[list[OutputRecord], int]:
             parser.error(f"--n is required for --which {which}")
         param_val = args.n
         key = "n"
-        partial = (lambda t: rho_power_partial(args.k, args.n, t)) if which == "thm1" \
-            else (lambda t: asymptotic_series_partial(args.k, args.n, t))
+        series = "rho_power_partial" if which == "thm1" else "asymptotic_series_partial"
     else:
         if args.a is None:
             parser.error("--a is required for --which thm2")
         param_val = args.a
         key = "a"
-        partial = lambda t: hermite_sum_partial(args.k, args.a, t)
+        series = "hermite_sum_partial"
     params = {"k": str(args.k), key: str(param_val)}
+    partial_sum = _load(series)
+    partial = lambda t: partial_sum(args.k, param_val, t)
     if args.terms is not None:
         p = partial(args.terms)
         return [_partial_record("series", params, p, f"{which}-partial")], 0
@@ -313,7 +330,7 @@ def _run_series(args, parser) -> tuple[list[OutputRecord], int]:
         parser.error(f"--tol: not a decimal number: {args.tol!r}")
     if tol <= 0:
         parser.error("--tol must be positive")
-    p = adaptive_partial(partial, tol)
+    p = _load("adaptive_partial")(partial, tol)
     return [_partial_record("series", dict(params, tol=str(args.tol or "1e-12")),
                             p, f"{which}-adaptive")], 0
 
@@ -321,10 +338,10 @@ def _run_series(args, parser) -> tuple[list[OutputRecord], int]:
 def _run_asymptotic(args, parser) -> tuple[list[OutputRecord], int]:
     params = {"k": str(args.k), "n": str(args.n), "bits": str(args.bits)}
     if args.ratio:
-        value = asymptotic_ratio(args.k, args.n, args.bits)
+        value = _load("asymptotic_ratio")(args.k, args.n, args.bits)
         return [_certified_record("asymptotic", dict(params, quantity="ratio"),
                                   value, "dominant-root")], 0
-    value = asymptotic(args.k, args.n, args.bits)
+    value = _load("asymptotic")(args.k, args.n, args.bits)
     return [_certified_record("asymptotic", dict(params, quantity="value"),
                               value, "dominant-root")], 0
 
@@ -339,7 +356,7 @@ def run(argv: list[str] | None = None) -> int:
     try:
         if args.command == "verify":
             names = SUITES if args.suite == "all" else (args.suite,)
-            reports = run_suites(names, args.k_max, args.n_max)
+            reports = _load("run_suites")(names, args.k_max, args.n_max)
             _emit_reports(reports, args.format, args.quiet)
             code = 4 if any(rep.failures for rep in reports) else 0
         else:

@@ -19,8 +19,8 @@ wrong summation range.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from itertools import chain
-from typing import Iterable, Iterator
 
 from .binomial import binom, binom_row
 from .core import check_k

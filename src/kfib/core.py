@@ -10,7 +10,6 @@ provides an oracle that shares nothing with either recurrence.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .errors import DomainError, OracleCapError
 
@@ -29,12 +28,14 @@ def _check_n(n: int) -> int:
     return n
 
 
-@dataclass(frozen=True)
 class FibTable:
     """The initial segment F[0..n_max] of a k-step Fibonacci sequence."""
 
-    k: int
-    values: tuple[int, ...]
+    __slots__ = ("k", "values")
+
+    def __init__(self, k: int, values: tuple[int, ...]):
+        self.k = k
+        self.values = values
 
     def __getitem__(self, i: int) -> int:
         return self.values[i]

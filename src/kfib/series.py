@@ -16,10 +16,10 @@ value type here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterator
 from fractions import Fraction
 from itertools import chain
-from typing import Callable, Iterator
 
 from .binomial import binom_row as _binom_row
 from .certified import CertifiedReal
@@ -43,13 +43,13 @@ def _theta(k: int) -> Fraction:
     return (1 + term_ratio_limit(k)) / 2
 
 
-@dataclass(frozen=True)
-class SeriesPartialSum:
-    """Exact sum of the first ``terms_used`` terms plus a certified tail bound."""
+class SeriesPartialSum(namedtuple("SeriesPartialSum", "terms_used value tail_bound")):
+    """Exact sum of the first ``terms_used`` terms plus a certified tail bound.
 
-    terms_used: int
-    value: Fraction
-    tail_bound: Fraction
+    ``terms_used`` is an int; ``value`` and ``tail_bound`` are Fractions.
+    """
+
+    __slots__ = ()
 
 
 class _TailSeries:

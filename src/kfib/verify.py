@@ -10,7 +10,7 @@ behavior.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .binomial import binom
@@ -37,21 +37,16 @@ SUITES = ("engines", "identities", "series", "erratum")
 BINOM_WINDOW = 50
 
 
-@dataclass(frozen=True)
-class VerifyCell:
-    check: str
-    k: int
-    n: int
-    ok: bool
-    expected: str
-    actual: str
+class VerifyCell(namedtuple("VerifyCell", "check k n ok expected actual")):
+    """One check at the ints (k, n): ``ok`` if it passed, both sides as strings."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    suite: str
-    cells: tuple[VerifyCell, ...]
-    failures: int
+class VerifyReport(namedtuple("VerifyReport", "suite cells failures")):
+    """A suite's name, its cells (a tuple of VerifyCell) and how many failed."""
+
+    __slots__ = ()
 
 
 def _report(suite: str, cells: list[VerifyCell]) -> VerifyReport:

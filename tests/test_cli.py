@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from kfib import dominant_root
+import kfib
+from kfib import cli, dominant_root, verify
 from kfib.cli import run
 from kfib.core import kfib_order_k
 from kfib.verify import verify_erratum, verify_series
@@ -234,3 +238,86 @@ def test_failed_certificate_exit_code(capsys, monkeypatch):
     code, out, err = run_capture(capsys, "rho", "--k", "3")
     assert code == 5 and out == ""
     assert err.startswith("internal error: CertificationError")
+
+
+# -- start-up: each command loads only the layers it runs ------------------
+
+#: the directory holding the kfib package, for child interpreters
+SRC = str(Path(kfib.__file__).resolve().parents[1])
+
+#: prints [exit code, modules after ``import kfib.cli``, modules after the run]
+IMPORT_PROBE = """
+import json, sys
+import kfib.cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("kfib") or m == "dataclasses")
+
+imported = loaded()
+code = kfib.cli.run(sys.argv[1:])
+print(json.dumps([code, imported, loaded()]))
+"""
+
+#: argv -> kfib modules the command must not load
+NOT_LOADED = {
+    ("fib", "--k", "3", "--n", "9"): {
+        "kfib.closed_forms", "kfib.binomial", "kfib.dyadic", "kfib.certified",
+        "kfib.dominant_root", "kfib.series", "kfib.verify"},
+    ("fib", "--k", "3", "--n", "9", "--method", "all"): {
+        "kfib.certified", "kfib.dominant_root", "kfib.series", "kfib.verify"},
+    ("rho", "--k", "2", "--epsilon"): {"kfib.series", "kfib.verify"},
+    ("asymptotic", "--k", "3", "--n", "100", "--ratio"): {"kfib.series", "kfib.verify"},
+    ("series", "--which", "thm1", "--k", "2", "--n", "1"): {
+        "kfib.dominant_root", "kfib.verify"},
+    ("series", "--which", "thm2", "--k", "3", "--a", "-2", "--terms", "40"): {
+        "kfib.dominant_root", "kfib.verify"},
+    ("verify", "--suite", "erratum"): set(),
+}
+
+
+def _child_env() -> dict[str, str]:
+    return dict(os.environ, PYTHONPATH=SRC)
+
+
+def _modules_loaded(argv) -> tuple[int, list[str], list[str]]:
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv], env=_child_env(),
+                          capture_output=True, text=True, timeout=60, check=True)
+    return tuple(json.loads(proc.stdout.splitlines()[-1]))
+
+
+@pytest.mark.parametrize("argv", sorted(NOT_LOADED), ids=" ".join)
+def test_command_loads_only_its_layers(argv):
+    code, imported, after = _modules_loaded(argv)
+    assert code == 0
+    assert imported == ["kfib", "kfib.cli", "kfib.errors"]
+    assert not NOT_LOADED[argv] & set(after)
+    assert "dataclasses" not in after
+
+
+def test_handlers_call_the_module_globals(capsys, monkeypatch):
+    # a library function, once loaded, is a global of kfib.cli; whatever
+    # replaces that global (a test double, a tracing wrapper) must be what runs
+    real = cli._load("kfib_order_k")
+    calls = []
+    monkeypatch.setattr(cli, "kfib_order_k", lambda k, n: calls.append((k, n)) or real(k, n))
+    code, out, _ = run_capture(capsys, "fib", "--k", "3", "--n", "9")
+    assert code == 0 and out.endswith("-> 44 (exact)\n")
+    assert calls == [(3, 9)]
+
+
+def test_cli_suites_match_verify():
+    assert cli.SUITES == verify.SUITES
+
+
+@pytest.mark.parametrize("argv", [
+    ("--format", "json", "fib", "--k", "3", "--n", "40", "--method", "all"),
+    ("rho", "--k", "5", "--bits", "96"),
+    ("series", "--which", "thm3", "--k", "2", "--n", "10", "--tol", "1e-9"),
+    ("--format", "csv", "asymptotic", "--k", "3", "--n", "100", "--ratio"),
+    ("verify", "--suite", "erratum"),
+], ids=" ".join)
+def test_module_entry_point_matches_run(capsys, argv):
+    code, out, _ = run_capture(capsys, *argv)
+    proc = subprocess.run([sys.executable, "-m", "kfib.cli", *argv], env=_child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (code, out)
