@@ -27,8 +27,9 @@ _EXPORTS = {
                       "epsilon", "rho"),
     "dyadic": ("Dyadic",),
     "errors": ("CertificationError", "DomainError", "IntegralityError", "OracleCapError"),
-    "series": ("SeriesPartialSum", "adaptive_partial", "asymptotic_series_partial",
-               "hermite_sum_partial", "rho_power_partial", "rho_power_via_series",
+    "series": ("SeriesPartialSum", "adaptive_partial", "asymptotic_series",
+               "asymptotic_series_partial", "hermite_series", "hermite_sum_partial",
+               "rho_power_partial", "rho_power_series", "rho_power_via_series",
                "term_ratio_limit"),
     "verify": ("VerifyCell", "VerifyReport", "run_suites"),
 }

@@ -10,7 +10,8 @@ sign change of the characteristic polynomial.
 A command imports only the layers it runs: importing this module loads
 ``kfib.errors`` and nothing else of the package, and each library function
 a handler calls is imported on first use (``fib --method recurrence``
-loads ``core`` alone, ``rho`` the root, ``verify`` every layer).
+loads ``core`` alone, ``rho`` the root, and ``verify`` the root and the
+series only for its series suite).
 
 Exit codes: 0 success, 2 usage error, 3 domain error (including a series
 whose tail bound would need terms past the probe cap), 4 verification
@@ -311,18 +312,16 @@ def _run_series(args, parser) -> tuple[list[OutputRecord], int]:
             parser.error(f"--n is required for --which {which}")
         param_val = args.n
         key = "n"
-        series = "rho_power_partial" if which == "thm1" else "asymptotic_series_partial"
+        builder = "rho_power_series" if which == "thm1" else "asymptotic_series"
     else:
         if args.a is None:
             parser.error("--a is required for --which thm2")
         param_val = args.a
         key = "a"
-        series = "hermite_sum_partial"
+        builder = "hermite_series"
     params = {"k": str(args.k), key: str(param_val)}
-    partial_sum = _load(series)
-    partial = lambda t: partial_sum(args.k, param_val, t)
     if args.terms is not None:
-        p = partial(args.terms)
+        p = _load(builder)(args.k, param_val).partial(args.terms)
         return [_partial_record("series", params, p, f"{which}-partial")], 0
     try:
         tol = Fraction(args.tol if args.tol is not None else "1e-12")
@@ -330,7 +329,9 @@ def _run_series(args, parser) -> tuple[list[OutputRecord], int]:
         parser.error(f"--tol: not a decimal number: {args.tol!r}")
     if tol <= 0:
         parser.error("--tol must be positive")
-    p = _load("adaptive_partial")(partial, tol)
+    # one series for the whole run: each doubling extends its running sum
+    series = _load(builder)(args.k, param_val)
+    p = _load("adaptive_partial")(series.partial, tol)
     return [_partial_record("series", dict(params, tol=str(args.tol or "1e-12")),
                             p, f"{which}-adaptive")], 0
 

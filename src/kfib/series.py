@@ -9,9 +9,15 @@ enough), so the tail rule bridges any not-yet-stable terms explicitly by
 absolute value and anchors the geometric bound on a window of observed
 ratios, every one of which must sit under theta_k.
 
-Partial sums are exact rationals throughout; the harmonic factors in the
-root-power series leave the dyadic lattice, so plain Fraction is the
-value type here.
+Sums stay exact but are kept in plain integers.  A series yields term el
+as a triple (a, q, e) meaning a * 2**e / q, with q = el + 1 for the
+root-power series (its harmonic factor leaves the dyadic lattice) and
+q = 1 for the other two.  A sum is one int N over Q * 2**E, where Q is the
+lcm of the q seen so far: adding a term takes a shift, a small-int
+multiply and Q // q, and no gcd.  A series keeps its prefix sum across
+``partial`` calls, so a longer request extends it, and the ratio gate
+compares terms by integer cross-multiplication.  The one Fraction of a
+sum is made when ``partial`` returns it (value and tail bound alike).
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from collections import namedtuple
 from collections.abc import Callable, Iterator
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 
 from .binomial import binom_row as _binom_row
 from .certified import CertifiedReal
@@ -39,10 +46,6 @@ def term_ratio_limit(k: int) -> Fraction:
     return Fraction((k + 1) ** (k + 1), k**k * 2 ** (k + 1))
 
 
-def _theta(k: int) -> Fraction:
-    return (1 + term_ratio_limit(k)) / 2
-
-
 class SeriesPartialSum(namedtuple("SeriesPartialSum", "terms_used value tail_bound")):
     """Exact sum of the first ``terms_used`` terms plus a certified tail bound.
 
@@ -52,36 +55,75 @@ class SeriesPartialSum(namedtuple("SeriesPartialSum", "terms_used value tail_bou
     __slots__ = ()
 
 
-class _TailSeries:
-    """A series with cached terms and the windowed geometric tail rule."""
+class _Sum:
+    """Exact sum num / (den * 2**exp) of terms a * 2**e / q, kept in ints."""
 
-    def __init__(self, terms: Iterator[Fraction], floor: int, k: int,
-                 base: Fraction = Fraction(0)):
+    __slots__ = ("num", "den", "exp")
+
+    def __init__(self, base: int = 0):
+        self.num, self.den, self.exp = base, 1, 0
+
+    def add(self, a: int, q: int, e: int) -> None:
+        shift = self.exp + e  # the term's place over 2**exp
+        if shift < 0:
+            self.num <<= -shift
+            self.exp -= shift
+            shift = 0
+        den = self.den
+        if q != den:
+            if den % q:
+                self.den = lcm(den, q)
+                self.num *= self.den // den
+                den = self.den
+            a *= den // q
+        self.num += a << shift
+
+    def value(self) -> Fraction:
+        return Fraction(self.num, self.den << self.exp)
+
+
+class _TailSeries:
+    """A series with cached terms, a running prefix sum and the windowed
+    geometric tail rule."""
+
+    def __init__(self, terms: Iterator[tuple[int, int, int]], floor: int, k: int,
+                 base: int = 0):
         self._source = terms
         self.floor = floor  # first index of the all-positive ordinary regime
-        self.theta = _theta(k)
+        theta = (1 + term_ratio_limit(k)) / 2
+        self._theta = theta.numerator, theta.denominator
         self.base = base
-        self._terms: list[Fraction] = []
+        self._terms: list[tuple[int, int, int]] = []
+        self._sum = _Sum(base)
+        self._summed = 0  # terms in self._sum
+
+    def _triple(self, el: int) -> tuple[int, int, int]:
+        terms = self._terms
+        while len(terms) <= el:
+            terms.append(next(self._source))
+        return terms[el]
 
     def term(self, el: int) -> Fraction:
-        while len(self._terms) <= el:
-            self._terms.append(next(self._source))
-        return self._terms[el]
+        """Term ``el`` as an exact Fraction."""
+        a, q, e = self._triple(el)
+        return Fraction(a << e, q) if e >= 0 else Fraction(a, q << -e)
 
-    def _gate(self, m: int) -> bool:
-        # certifies |sum over el >= m| <= |t[m-1]| * theta / (1 - theta):
-        # the window of _RATIO_WINDOW ratios ending at t[m-1] lies in the
-        # ordinary regime, has no zero term, and every ratio is <= theta
-        j0 = m - 1 - _RATIO_WINDOW
-        if j0 < self.floor or j0 < 0:
+    def _good(self, j: int) -> bool:
+        # t[j] and t[j+1] lie in the ordinary regime, neither is zero, and
+        # |t[j+1]| <= theta |t[j]|, by integer cross-multiplication
+        if j < self.floor or j < 0:
             return False
-        window = [self.term(j) for j in range(j0, m)]
-        if any(t == 0 for t in window):
+        a0, q0, e0 = self._triple(j)
+        a1, q1, e1 = self._triple(j + 1)
+        if a0 == 0 or a1 == 0:
             return False
-        return all(
-            abs(window[i + 1]) <= self.theta * abs(window[i])
-            for i in range(_RATIO_WINDOW)
-        )
+        tn, td = self._theta
+        lhs, rhs = abs(a1) * td * q0, abs(a0) * tn * q1
+        if e1 >= e0:
+            lhs <<= e1 - e0
+        else:
+            rhs <<= e0 - e1
+        return lhs <= rhs
 
     def tail_bound(self, terms_used: int) -> Fraction:
         # the gate first passes at m = floor + _RATIO_WINDOW + 1 or later
@@ -89,50 +131,77 @@ class _TailSeries:
             raise DomainError(
                 f"the tail bound needs terms up to index {self.floor + _RATIO_WINDOW}, "
                 f"beyond the cap of {_MAX_PROBE} terms past the {terms_used} summed")
+        # the gate at m certifies |sum over el >= m| <= |t[m-1]| theta / (1 - theta)
+        # once the _RATIO_WINDOW ratios ending at t[m-1] are all good; ``run``
+        # counts the good ratios ending there
         m = terms_used
-        bridge = Fraction(0)
-        while not self._gate(m):
-            bridge += abs(self.term(m))
+        run = 0
+        while run < _RATIO_WINDOW and self._good(m - 2 - run):
+            run += 1
+        tail = _Sum()
+        while run < _RATIO_WINDOW:
+            a, q, e = self._triple(m)
+            tail.add(abs(a), q, e)
             m += 1
             if m > terms_used + _MAX_PROBE:
                 raise CertificationError(
                     f"term ratios stayed above theta for {_MAX_PROBE} terms "
                     "inside the ordinary regime")
-        return bridge + abs(self.term(m - 1)) * self.theta / (1 - self.theta)
+            run = run + 1 if self._good(m - 2) else 0
+        # the geometric majorant |t[m-1]| * theta / (1 - theta)
+        a, q, e = self._triple(m - 1)
+        tn, td = self._theta
+        tail.add(abs(a) * tn, q * (td - tn), e)
+        return tail.value()
 
     def partial(self, terms_used: int) -> SeriesPartialSum:
+        _check_terms(terms_used)
         tail = self.tail_bound(terms_used)  # first: it can refuse before any summing
-        value = self.base + sum(self.term(el) for el in range(terms_used))
-        return SeriesPartialSum(terms_used, value, tail)
+        if terms_used < self._summed:
+            self._sum, self._summed = _Sum(self.base), 0
+        total = self._sum
+        for el in range(self._summed, terms_used):
+            total.add(*self._triple(el))
+        self._summed = terms_used
+        return SeriesPartialSum(terms_used, total.value(), tail)
 
 
 def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def _times_pow2(num: int, den: int, e: int) -> Fraction:
-    """num / den * 2**e in a single Fraction construction."""
-    return Fraction(num << e, den) if e >= 0 else Fraction(num, den << -e)
-
-
-def _rho_power_series(k: int, n: int) -> _TailSeries:
+def rho_power_series(k: int, n: int) -> _TailSeries:
+    """The series of ``rho_power_partial`` for repeated ``partial(terms)`` calls."""
+    check_k(k)
+    if type(n) is not int or n < 1:
+        raise DomainError(f"n must be a positive integer, got {n!r}")
     # -n * 2**(n-k-1) * binom(k*(el+1) + el - n, el) / ((el+1) * 2**((k+1)*el))
-    terms = (_times_pow2(-n * c, el + 1, n - k - 1 - (k + 1) * el)
+    terms = ((-n * c, el + 1, n - k - 1 - (k + 1) * el)
              for el, c in enumerate(_binom_row(k, k - n)))
-    return _TailSeries(terms, max(0, _ceil_div(n - k, k)), k, base=Fraction(2) ** n)
+    return _TailSeries(terms, max(0, _ceil_div(n - k, k)), k, base=1 << n)
 
 
-def _hermite_series(k: int, a: int) -> _TailSeries:
-    terms = (Fraction(c, 1 << ((k + 1) * el)) for el, c in enumerate(_binom_row(k, a)))
+def hermite_series(k: int, a: int) -> _TailSeries:
+    """The series of ``hermite_sum_partial`` for repeated ``partial(terms)`` calls."""
+    check_k(k)
+    if type(a) is not int:
+        raise DomainError(f"a must be an integer, got {a!r}")
+    terms = ((c, 1, -(k + 1) * el) for el, c in enumerate(_binom_row(k, a)))
     return _TailSeries(terms, max(0, _ceil_div(-a, k)), k)
 
 
-def _asymptotic_series(k: int, n: int) -> _TailSeries:
+def asymptotic_series(k: int, n: int) -> _TailSeries:
+    """The series of ``asymptotic_series_partial`` for repeated ``partial(terms)`` calls."""
+    check_k(k)
+    if type(n) is not int or n < 0:
+        raise DomainError(f"n must be a nonnegative integer, got {n!r}")
+    if n == 1:
+        raise DomainError("n = 1 is excluded from the dominant-term series")
     # (binom(top, el) - binom(top, el-1)) * 2**(n - 2 - (k+1)*el), top = (k+1)*el - n;
     # binom(top, el-1) is the row at c = k+1-n one place back, and 0 at el = 0
     # for every admitted n (n = 0 or n >= 2)
     lower = chain([0], _binom_row(k, k + 1 - n))
-    terms = (_times_pow2(b - b1, 1, n - 2 - (k + 1) * el)
+    terms = ((b - b1, 1, n - 2 - (k + 1) * el)
              for el, (b, b1) in enumerate(zip(_binom_row(k, -n), lower)))
     return _TailSeries(terms, max(0, _ceil_div(n, k - 1)), k)
 
@@ -149,11 +218,7 @@ def rho_power_partial(k: int, n: int, terms: int) -> SeriesPartialSum:
     With zero terms the value is exactly 2**n.  The limit is rho_k**n;
     at n = 1 the k = 2 case is the classical golden-ratio series.
     """
-    check_k(k)
-    if type(n) is not int or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-    _check_terms(terms)
-    return _rho_power_series(k, n).partial(terms)
+    return rho_power_series(k, n).partial(terms)
 
 
 def hermite_sum_partial(k: int, a: int, terms: int) -> SeriesPartialSum:
@@ -162,11 +227,7 @@ def hermite_sum_partial(k: int, a: int, terms: int) -> SeriesPartialSum:
     The limit equals 2**(a+1) * rho_k**(-a) / ((k+1) rho_k - 2k) for every
     integer a.
     """
-    check_k(k)
-    if type(a) is not int:
-        raise DomainError(f"a must be an integer, got {a!r}")
-    _check_terms(terms)
-    return _hermite_series(k, a).partial(terms)
+    return hermite_series(k, a).partial(terms)
 
 
 def asymptotic_series_partial(k: int, n: int, terms: int) -> SeriesPartialSum:
@@ -178,18 +239,17 @@ def asymptotic_series_partial(k: int, n: int, terms: int) -> SeriesPartialSum:
     the first term of the series degenerates there and the identity's
     derivation relies on it.
     """
-    check_k(k)
-    if type(n) is not int or n < 0:
-        raise DomainError(f"n must be a nonnegative integer, got {n!r}")
-    if n == 1:
-        raise DomainError("n = 1 is excluded from the dominant-term series")
-    _check_terms(terms)
-    return _asymptotic_series(k, n).partial(terms)
+    return asymptotic_series(k, n).partial(terms)
 
 
 def adaptive_partial(partial: Callable[[int], SeriesPartialSum],
                      tol: Fraction, start: int = 4) -> SeriesPartialSum:
-    """Double the term count from ``start`` until the tail bound is <= tol."""
+    """Double the term count from ``start`` until the tail bound is <= tol.
+
+    Pass one series' bound ``partial`` (``hermite_series(k, a).partial``):
+    each doubling then extends that series' running sum instead of summing
+    again from term 0.
+    """
     if tol <= 0:
         raise DomainError(f"tolerance must be positive, got {tol!r}")
     terms = start
@@ -202,6 +262,5 @@ def adaptive_partial(partial: Callable[[int], SeriesPartialSum],
 
 def rho_power_via_series(k: int, n: int, tol) -> CertifiedReal:
     """rho_k**n summed adaptively until the certified tail is <= tol."""
-    tol = Fraction(tol)
-    p = adaptive_partial(lambda terms: rho_power_partial(k, n, terms), tol)
+    p = adaptive_partial(rho_power_series(k, n).partial, Fraction(tol))
     return CertifiedReal(p.value, p.tail_bound)

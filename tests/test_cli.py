@@ -271,7 +271,12 @@ NOT_LOADED = {
         "kfib.dominant_root", "kfib.verify"},
     ("series", "--which", "thm2", "--k", "3", "--a", "-2", "--terms", "40"): {
         "kfib.dominant_root", "kfib.verify"},
-    ("verify", "--suite", "erratum"): set(),
+    ("verify", "--suite", "engines"): {
+        "kfib.certified", "kfib.dominant_root", "kfib.series"},
+    ("verify", "--suite", "identities"): {
+        "kfib.certified", "kfib.dominant_root", "kfib.series"},
+    ("verify", "--suite", "erratum"): {
+        "kfib.certified", "kfib.dominant_root", "kfib.series"},
 }
 
 
@@ -321,3 +326,38 @@ def test_module_entry_point_matches_run(capsys, argv):
     proc = subprocess.run([sys.executable, "-m", "kfib.cli", *argv], env=_child_env(),
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout) == (code, out)
+
+
+# -- series output pinned at the benchmark's sizes -------------------------
+
+#: argv -> (value, error_bound, params.terms) as printed before the series
+#: were summed in integers; the sums must stay exact, so these never move
+SERIES_PINNED = {
+    ("thm1", "--k", "2", "--n", "1", "--tol", "1e-25"): (
+        "1.61803398874989484820458683436563811772031084", "3.7e-42", "512"),
+    ("thm1", "--k", "2", "--n", "1", "--tol", "1e-50"): (
+        "1.618033988749894848204586834365638117720309179805762862135449", "5.1e-61",
+        "1024"),
+    ("thm1", "--k", "2", "--n", "1", "--tol", "1e-100"): (
+        "1.618033988749894848204586834365638117720309179805762862135449", "5.1e-61",
+        "2048"),
+    ("thm1", "--k", "2", "--n", "1", "--tol", "1e-150"): (
+        "1.618033988749894848204586834365638117720309179805762862135449", "5.1e-61",
+        "2048"),
+    ("thm3", "--k", "3", "--n", "100", "--tol", "1e-12"): (
+        "98079530178586034536500564.00000000000000350", "2.7e-15", "128"),
+    ("thm2", "--k", "3", "--a", "-3", "--tol", "1e-12"): (
+        "1.146202737709442211", "4.6e-16", "64"),
+    ("thm2", "--k", "3", "--a", "-30", "--tol", "1e-12"): (
+        "0.119395107962145051695", "1.1e-19", "64"),
+    ("thm2", "--k", "3", "--a", "-300", "--tol", "1e-12"): (
+        "0.0000000000179571513907342436488904636753779913931", "1.4e-47", "64"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(SERIES_PINNED), ids=" ".join)
+def test_series_output_pinned(capsys, argv):
+    code, out, _ = run_capture(capsys, "--format", "json", "series", "--which", *argv)
+    assert code == 0
+    (rec,) = json.loads(out)
+    assert (rec["value"], rec["error_bound"], rec["params"]["terms"]) == SERIES_PINNED[argv]

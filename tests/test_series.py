@@ -7,14 +7,14 @@ from kfib.closed_forms import kfib_binomial_shifted
 from kfib.dominant_root import asymptotic, rho
 from kfib.errors import DomainError
 from kfib.series import (
-    _asymptotic_series,
     _binom_row,
-    _hermite_series,
-    _rho_power_series,
     adaptive_partial,
+    asymptotic_series,
     asymptotic_series_partial,
+    hermite_series,
     hermite_sum_partial,
     rho_power_partial,
+    rho_power_series,
     rho_power_via_series,
     term_ratio_limit,
 )
@@ -204,18 +204,18 @@ def test_terms_match_binom_per_term_definition():
     for k in range(2, 7):
         step = k + 1
         for a in (-40, -13, -7, -1, 0, 1, 40):
-            terms = _hermite_series(k, a)
+            terms = hermite_series(k, a)
             for el in range(300):
                 c = binom(step * el + a, el)
                 assert _same(terms.term(el), c, 1, -step * el), (k, a, el)
         for n in (1, 2, 7, 30, 60):
-            terms = _rho_power_series(k, n)
+            terms = rho_power_series(k, n)
             for el in range(300):
                 c = binom(k * (el + 1) + el - n, el)
                 e = n - k - 1 - step * el  # -n * 2**(n-k-1) * c / ((el+1) * 2**(step*el))
                 assert _same(terms.term(el), -n * c, el + 1, e), (k, n, el)
         for n in (0, 2, 7, 30, 60):
-            terms = _asymptotic_series(k, n)
+            terms = asymptotic_series(k, n)
             for el in range(300):
                 top = step * el - n
                 c = binom(top, el) - binom(top, el - 1)
@@ -227,3 +227,94 @@ def test_tail_cap_refused_before_bridging():
     # tail bound is refused at once instead of bridging 1e5 terms first
     with pytest.raises(DomainError, match="cap"):
         hermite_sum_partial(2, -250000, 4)
+
+
+# -- the integer sums against a Fraction oracle built from binom -----------
+
+
+class _FractionOracle:
+    """A series' partial sums and tail bounds, term by term in Fractions.
+
+    The terms come from binom by each series' definition, and the tail rule
+    is restated here: bridge |t[m]| until the three ratios ending at t[m-1]
+    lie in the ordinary regime (index >= floor), involve no zero term and
+    are all <= theta = (1 + r_k)/2, then add |t[m-1]| theta / (1 - theta).
+    """
+
+    def __init__(self, term, floor, k, base=0):
+        self._term, self.floor, self.base = term, floor, base
+        self.theta = (1 + Fraction((k + 1) ** (k + 1), k**k * 2 ** (k + 1))) / 2
+        self._terms = []
+
+    def term(self, el):
+        while len(self._terms) <= el:
+            self._terms.append(self._term(len(self._terms)))
+        return self._terms[el]
+
+    def _gate(self, m):
+        j0 = m - 4
+        if j0 < max(self.floor, 0):
+            return False
+        w = [self.term(j) for j in range(j0, m)]
+        return all(w) and all(abs(b) <= self.theta * abs(a) for a, b in zip(w, w[1:]))
+
+    def partial(self, terms):
+        m, bridge = terms, Fraction(0)
+        while not self._gate(m):
+            bridge += abs(self.term(m))
+            m += 1
+        self.bridged = m - terms  # terms the last tail bound bridged
+        tail = bridge + abs(self.term(m - 1)) * self.theta / (1 - self.theta)
+        value = self.base + sum((self.term(el) for el in range(terms)), Fraction(0))
+        return terms, value, tail
+
+
+def _ceil(a, b):
+    return -((-a) // b)
+
+
+def _oracles(k):
+    """(label, series, oracle) for each series at a few parameters."""
+    step = k + 1
+    for n in (1, 2, 7, 30):
+        yield (f"thm1 k={k} n={n}", rho_power_series(k, n), _FractionOracle(
+            lambda el, n=n: Fraction(-n * binom(k * (el + 1) + el - n, el),
+                                     (el + 1) * 2 ** (step * el)) * Fraction(2) ** (n - k - 1),
+            max(0, _ceil(n - k, k)), k, base=2**n))
+    for a in (-40, -7, 0, 5):
+        yield (f"thm2 k={k} a={a}", hermite_series(k, a), _FractionOracle(
+            lambda el, a=a: Fraction(binom(step * el + a, el), 2 ** (step * el)),
+            max(0, _ceil(-a, k)), k))
+    for n in (0, 2, 7, 30):
+        yield (f"thm3 k={k} n={n}", asymptotic_series(k, n), _FractionOracle(
+            lambda el, n=n: (binom(step * el - n, el) - binom(step * el - n, el - 1))
+            * Fraction(2) ** (n - 2 - step * el),
+            max(0, _ceil(n, k - 1)), k))
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_integer_sums_match_fraction_oracle(k):
+    # one series per parameter, asked for rising then falling term counts:
+    # the falling requests restart its running sum from term 0, and the
+    # counts below each series' floor make the tail bridge unstable terms
+    counts = (0, 1, 3, 9, 17, 40, 75, 33, 12, 2, 0, 75, 76)
+    bridged_below_floor = set()
+    for label, series, oracle in _oracles(k):
+        for t in counts:
+            assert tuple(series.partial(t)) == oracle.partial(t), (label, t)
+            if t < oracle.floor and oracle.bridged:
+                bridged_below_floor.add(label[:4])
+    assert bridged_below_floor == {"thm1", "thm2", "thm3"}
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_adaptive_over_one_series_matches_fresh_series(k):
+    for label, series, oracle in _oracles(k):
+        tol = Fraction(1, 10**20)
+        fresh = {"thm1": rho_power_partial, "thm2": hermite_sum_partial,
+                 "thm3": asymptotic_series_partial}[label[:4]]
+        x = int(label.rpartition("=")[2])
+        old = adaptive_partial(lambda t: fresh(k, x, t), tol)
+        p = adaptive_partial(series.partial, tol)
+        assert p == old, label
+        assert tuple(p) == oracle.partial(p.terms_used), label
