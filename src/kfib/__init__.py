@@ -23,8 +23,7 @@ _EXPORTS = {
                      "kfib_ordinary", "kfib_ordinary_alt", "kfib_ordinary_erroneous"),
     "core": ("ORACLE_CAP", "FibTable", "count_compositions", "kfib_order_k",
              "kfib_order_k1", "kfib_table"),
-    "dominant_root": ("asymptotic", "asymptotic_ratio", "contraction_factor",
-                      "epsilon", "rho"),
+    "dominant_root": ("asymptotic", "asymptotic_ratio", "epsilon", "rho"),
     "dyadic": ("Dyadic",),
     "errors": ("CertificationError", "DomainError", "IntegralityError", "OracleCapError"),
     "series": ("SeriesPartialSum", "adaptive_partial", "asymptotic_series",

@@ -3,19 +3,21 @@
 Subcommands expose every computation of the library with deterministic,
 machine-readable output.  All numeric payloads are decimal strings (never
 floats): exact results carry no error bound, approximate ones always do.
-Exact integers print in full, however many digits they have.  ``rho``
-reports its root as method "newton": Newton steps certified by an exact
-sign change of the characteristic polynomial.
+Exact integers print in full, however many digits they have; an
+approximate value's digit count and upper-rounded bound come from a few
+integer compares.  ``rho`` reports its root as method "newton": Newton
+steps certified by an exact sign change of the characteristic polynomial.
 
 A command imports only the layers it runs: importing this module loads
 ``kfib.errors`` and nothing else of the package, and each library function
 a handler calls is imported on first use (``fib --method recurrence``
-loads ``core`` alone, ``rho`` the root, and ``verify`` the root and the
-series only for its series suite).
+loads ``core`` alone, ``rho`` the root, ``series`` no ball type, and
+``verify`` the root and the series only for its series suite).
 
 Exit codes: 0 success, 2 usage error, 3 domain error (including a series
-whose tail bound would need terms past the probe cap), 4 verification
-failure, 5 a certificate that failed to verify (an internal error).
+whose tail bound would need terms past the probe cap, and a verify range
+with no cells), 4 verification failure, 5 a certificate that failed to
+verify (an internal error).
 """
 
 from __future__ import annotations
@@ -85,29 +87,28 @@ def _fraction_decimal(x: Fraction, digits: int) -> str:
     return f"{sign}{body[:-digits]}.{body[-digits:]}"
 
 
+def _scientific(x: Fraction) -> tuple[int, int, int]:
+    """(e, n, m) with x = 10**e * n/m and 1 <= n/m < 10, for x > 0."""
+    n, m = x.numerator, x.denominator
+    e = (n.bit_length() - m.bit_length() - 1) * 30103 // 100000 - 1  # <= log10 x
+    n, m = (n * 10**-e, m) if e < 0 else (n, m * 10**e)
+    while n >= 10 * m:
+        m *= 10
+        e += 1
+    return e, n, m
+
+
 def _digits_for(bound: Fraction, cap: int = 400) -> int:
-    d = 0
-    while d < cap and Fraction(1, 10**d) > bound:
-        d += 1
-    return d
+    return min(cap, max(0, -_scientific(bound)[0])) if bound > 0 else cap
 
 
 def _bound_decimal(x: Fraction) -> str:
     """Upper-rounded scientific rendering with two significant digits."""
-    if x == 0:
-        return "0"
-    e = 0
-    while x < 1:
-        x *= 10
-        e -= 1
-    while x >= 10:
-        x /= 10
-        e += 1
-    mant_tenths = -((-x * 10) // 1)  # ceil
-    if mant_tenths >= 100:
-        mant_tenths = 10
-        e += 1
-    return f"{_fraction_decimal(Fraction(mant_tenths, 10), 1)}e{e:+03d}"
+    e, n, m = _scientific(x)
+    tenths = -(-10 * n // m)  # ceil, in 10..100
+    if tenths == 100:
+        tenths, e = 10, e + 1
+    return f"{tenths // 10}.{tenths % 10}e{e:+03d}"
 
 
 def _certified_record(command: str, params: dict[str, str], value: CertifiedReal,
@@ -293,14 +294,10 @@ def _run_fib(args, parser) -> tuple[list[OutputRecord], int]:
 
 
 def _run_rho(args, parser) -> tuple[list[OutputRecord], int]:
-    params = {"k": str(args.k), "bits": str(args.bits)}
-    if args.epsilon:
-        value = _load("epsilon")(args.k, args.bits)
-        return [_certified_record("rho", dict(params, quantity="epsilon"),
-                                  value, "newton")], 0
-    value = _load("rho")(args.k, args.bits)
-    return [_certified_record("rho", dict(params, quantity="rho"),
-                              value, "newton")], 0
+    quantity = "epsilon" if args.epsilon else "rho"
+    params = {"k": str(args.k), "bits": str(args.bits), "quantity": quantity}
+    value = _load(quantity)(args.k, args.bits)
+    return [_certified_record("rho", params, value, "newton")], 0
 
 
 def _run_series(args, parser) -> tuple[list[OutputRecord], int]:
@@ -337,14 +334,11 @@ def _run_series(args, parser) -> tuple[list[OutputRecord], int]:
 
 
 def _run_asymptotic(args, parser) -> tuple[list[OutputRecord], int]:
-    params = {"k": str(args.k), "n": str(args.n), "bits": str(args.bits)}
-    if args.ratio:
-        value = _load("asymptotic_ratio")(args.k, args.n, args.bits)
-        return [_certified_record("asymptotic", dict(params, quantity="ratio"),
-                                  value, "dominant-root")], 0
-    value = _load("asymptotic")(args.k, args.n, args.bits)
-    return [_certified_record("asymptotic", dict(params, quantity="value"),
-                              value, "dominant-root")], 0
+    quantity, name = ("ratio", "asymptotic_ratio") if args.ratio else ("value", "asymptotic")
+    params = {"k": str(args.k), "n": str(args.n), "bits": str(args.bits),
+              "quantity": quantity}
+    value = _load(name)(args.k, args.n, args.bits)
+    return [_certified_record("asymptotic", params, value, "dominant-root")], 0
 
 
 def run(argv: list[str] | None = None) -> int:

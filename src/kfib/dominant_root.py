@@ -46,18 +46,6 @@ def _check_bits(bits: int) -> int:
     return bits
 
 
-def contraction_factor(k: int) -> Fraction:
-    """Lipschitz constant of eps -> (2 - eps)**(-k) on [0, 2**(1-k)].
-
-    Exactly k * (2 - 2**(1-k))**(-(k+1)); less than 1 for every k >= 2
-    (the worst case is k = 2 with 2 / 1.5**3), so the gap eps_k = 2 - rho_k
-    is the unique fixed point of that map on the window.
-    """
-    check_k(k)
-    base = Fraction(2**k - 1, 2 ** (k - 1))  # 2 - 2**(1-k)
-    return Fraction(k) / base ** (k + 1)
-
-
 def _scaled_p(x: int, k: int, prec: int) -> int:
     """2**(prec*(k+1)) * p(x / 2**prec), exactly."""
     return x**k * (x - (2 << prec)) + (1 << (prec * (k + 1)))
@@ -130,10 +118,9 @@ def _dominant_term(k: int, idx: int, prec: int) -> CertifiedReal:
 
 
 def _working_precision(k: int, bits: int, idx: int) -> int:
-    # |idx| covers the scale a power of rho moves the value by, either way.
-    # One step of the contraction of contraction_factor can leave a root
-    # exact to about 3k bits; the 3k term keeps every bound here no looser
-    # than exact evaluation from such a root would give.
+    # |idx| covers the scale a power of rho moves the value by, either way;
+    # the 3k term keeps err tight for large k (without it, err comes out up
+    # to 2**37 larger at k >= 16).
     return bits + abs(idx) + 3 * k + _GUARD
 
 

@@ -12,12 +12,19 @@ ratios, every one of which must sit under theta_k.
 Sums stay exact but are kept in plain integers.  A series yields term el
 as a triple (a, q, e) meaning a * 2**e / q, with q = el + 1 for the
 root-power series (its harmonic factor leaves the dyadic lattice) and
-q = 1 for the other two.  A sum is one int N over Q * 2**E, where Q is the
-lcm of the q seen so far: adding a term takes a shift, a small-int
-multiply and Q // q, and no gcd.  A series keeps its prefix sum across
-``partial`` calls, so a longer request extends it, and the ratio gate
-compares terms by integer cross-multiplication.  The one Fraction of a
-sum is made when ``partial`` returns it (value and tail bound alike).
+q = 1 for the other two.  A sum is a triple (N, Q, E) meaning N / (Q * 2**E).
+One primitive sums any run of terms, signed or by absolute value, by
+binary splitting (B. Haible and T. Papanikolaou, "Fast multiprecision
+evaluation of series of rational numbers", ANTS-III, 1998): the two
+halves' sums merge with one shift, and with one lcm only where their
+denominators differ, so the dyadic series need shifts and adds alone and
+no gcd is taken.  A series keeps its prefix sum across ``partial`` calls,
+so a longer request merges in the sum of just the new terms.  It also
+keeps the tail bridge: every request below a gate point reaches that same
+point, so a later one drops the terms it now sums from the bridge instead
+of bridging again.  The ratio gate compares terms by integer
+cross-multiplication, and the one Fraction of a sum is made when
+``partial`` returns it (value and tail bound alike).
 """
 
 from __future__ import annotations
@@ -29,9 +36,12 @@ from itertools import chain
 from math import lcm
 
 from .binomial import binom_row as _binom_row
-from .certified import CertifiedReal
 from .core import check_k
 from .errors import CertificationError, DomainError
+
+TYPE_CHECKING = False  # true for type checkers; importing typing costs start-up time
+if TYPE_CHECKING:
+    from .certified import CertifiedReal
 
 #: consecutive observed ratios required under theta before the geometric
 #: bound is trusted (rides out the transient hump past the sign region)
@@ -55,31 +65,37 @@ class SeriesPartialSum(namedtuple("SeriesPartialSum", "terms_used value tail_bou
     __slots__ = ()
 
 
-class _Sum:
-    """Exact sum num / (den * 2**exp) of terms a * 2**e / q, kept in ints."""
+_ZERO = (0, 1, 0)
 
-    __slots__ = ("num", "den", "exp")
 
-    def __init__(self, base: int = 0):
-        self.num, self.den, self.exp = base, 1, 0
+def _merge(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The sum of two exact sums (num, den, exp), each num / (den * 2**exp)."""
+    n1, d1, e1 = x
+    n2, d2, e2 = y
+    if d1 != d2:
+        d = lcm(d1, d2)
+        n1, n2, d1 = n1 * (d // d1), n2 * (d // d2), d
+    if e1 < e2:
+        return (n1 << (e2 - e1)) + n2, d1, e2
+    return n1 + (n2 << (e1 - e2)), d1, e1
 
-    def add(self, a: int, q: int, e: int) -> None:
-        shift = self.exp + e  # the term's place over 2**exp
-        if shift < 0:
-            self.num <<= -shift
-            self.exp -= shift
-            shift = 0
-        den = self.den
-        if q != den:
-            if den % q:
-                self.den = lcm(den, q)
-                self.num *= self.den // den
-                den = self.den
-            a *= den // q
-        self.num += a << shift
 
-    def value(self) -> Fraction:
-        return Fraction(self.num, self.den << self.exp)
+def _split_sum(terms: list[tuple[int, int, int]], i: int, j: int,
+               absolute: bool) -> tuple[int, int, int]:
+    """Sum of the terms a * 2**e / q at indices i..j-1 (of |a| if ``absolute``),
+    by binary splitting, as one (num, den, exp)."""
+    if j - i == 1:
+        a, q, e = terms[i]
+        return (abs(a) if absolute else a), q, -e
+    if j <= i:
+        return _ZERO
+    mid = (i + j) // 2
+    return _merge(_split_sum(terms, i, mid, absolute), _split_sum(terms, mid, j, absolute))
+
+
+def _value(x: tuple[int, int, int]) -> Fraction:
+    num, den, exp = x
+    return Fraction(num, den << exp) if exp >= 0 else Fraction(num << -exp, den)
 
 
 class _TailSeries:
@@ -94,8 +110,12 @@ class _TailSeries:
         self._theta = theta.numerator, theta.denominator
         self.base = base
         self._terms: list[tuple[int, int, int]] = []
-        self._sum = _Sum(base)
-        self._summed = 0  # terms in self._sum
+        self._total = (base, 1, 0)  # the sum of the first self._summed terms
+        self._summed = 0
+        # (start, gate, sum of |t| over start..gate-1): the gate passes at
+        # ``gate`` and at no point from ``start`` up to it; no request lies
+        # in the empty [1, 0] this starts with
+        self._bridge = (1, 0, _ZERO)
 
     def _triple(self, el: int) -> tuple[int, int, int]:
         terms = self._terms
@@ -103,10 +123,15 @@ class _TailSeries:
             terms.append(next(self._source))
         return terms[el]
 
+    def _sum(self, i: int, j: int, absolute: bool = False) -> tuple[int, int, int]:
+        if j > i:
+            self._triple(j - 1)
+        return _split_sum(self._terms, i, j, absolute)
+
     def term(self, el: int) -> Fraction:
         """Term ``el`` as an exact Fraction."""
         a, q, e = self._triple(el)
-        return Fraction(a << e, q) if e >= 0 else Fraction(a, q << -e)
+        return _value((a, q, -e))
 
     def _good(self, j: int) -> bool:
         # t[j] and t[j+1] lie in the ordinary regime, neither is zero, and
@@ -125,45 +150,53 @@ class _TailSeries:
             rhs <<= e0 - e1
         return lhs <= rhs
 
-    def tail_bound(self, terms_used: int) -> Fraction:
-        # the gate first passes at m = floor + _RATIO_WINDOW + 1 or later
-        if self.floor + _RATIO_WINDOW + 1 > terms_used + _MAX_PROBE:
-            raise DomainError(
-                f"the tail bound needs terms up to index {self.floor + _RATIO_WINDOW}, "
-                f"beyond the cap of {_MAX_PROBE} terms past the {terms_used} summed")
-        # the gate at m certifies |sum over el >= m| <= |t[m-1]| theta / (1 - theta)
-        # once the _RATIO_WINDOW ratios ending at t[m-1] are all good; ``run``
-        # counts the good ratios ending there
+    def _gate(self, terms_used: int) -> int:
+        # the first m >= terms_used where the _RATIO_WINDOW ratios ending at
+        # t[m-1] are all good; ``run`` counts the good ratios ending there
         m = terms_used
         run = 0
         while run < _RATIO_WINDOW and self._good(m - 2 - run):
             run += 1
-        tail = _Sum()
         while run < _RATIO_WINDOW:
-            a, q, e = self._triple(m)
-            tail.add(abs(a), q, e)
             m += 1
             if m > terms_used + _MAX_PROBE:
                 raise CertificationError(
                     f"term ratios stayed above theta for {_MAX_PROBE} terms "
                     "inside the ordinary regime")
             run = run + 1 if self._good(m - 2) else 0
+        return m
+
+    def tail_bound(self, terms_used: int) -> Fraction:
+        # the gate first passes at m = floor + _RATIO_WINDOW + 1 or later
+        if self.floor + _RATIO_WINDOW + 1 > terms_used + _MAX_PROBE:
+            raise DomainError(
+                f"the tail bound needs terms up to index {self.floor + _RATIO_WINDOW}, "
+                f"beyond the cap of {_MAX_PROBE} terms past the {terms_used} summed")
+        # the gate at m certifies |sum over el >= m| <= |t[m-1]| theta / (1 - theta);
+        # the terms from terms_used up to m are bridged by absolute value
+        start, m, bridge = self._bridge
+        if start <= terms_used <= m:
+            # every request from start up to the gate reaches the same gate:
+            # drop the terms this one sums instead of bridging again
+            num, den, exp = self._sum(start, terms_used, absolute=True)
+            bridge = _merge(bridge, (-num, den, exp))
+        else:
+            m = self._gate(terms_used)
+            bridge = self._sum(terms_used, m, absolute=True)
+        self._bridge = terms_used, m, bridge
         # the geometric majorant |t[m-1]| * theta / (1 - theta)
         a, q, e = self._triple(m - 1)
         tn, td = self._theta
-        tail.add(abs(a) * tn, q * (td - tn), e)
-        return tail.value()
+        return _value(_merge(bridge, (abs(a) * tn, q * (td - tn), -e)))
 
     def partial(self, terms_used: int) -> SeriesPartialSum:
         _check_terms(terms_used)
         tail = self.tail_bound(terms_used)  # first: it can refuse before any summing
         if terms_used < self._summed:
-            self._sum, self._summed = _Sum(self.base), 0
-        total = self._sum
-        for el in range(self._summed, terms_used):
-            total.add(*self._triple(el))
+            self._total, self._summed = (self.base, 1, 0), 0
+        self._total = _merge(self._total, self._sum(self._summed, terms_used))
         self._summed = terms_used
-        return SeriesPartialSum(terms_used, total.value(), tail)
+        return SeriesPartialSum(terms_used, _value(self._total), tail)
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -262,5 +295,7 @@ def adaptive_partial(partial: Callable[[int], SeriesPartialSum],
 
 def rho_power_via_series(k: int, n: int, tol) -> CertifiedReal:
     """rho_k**n summed adaptively until the certified tail is <= tol."""
+    from .certified import CertifiedReal  # the one use of the ball type here
+
     p = adaptive_partial(rho_power_series(k, n).partial, Fraction(tol))
     return CertifiedReal(p.value, p.tail_bound)

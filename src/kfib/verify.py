@@ -22,6 +22,7 @@ from .closed_forms import (
     kfib_ordinary_erroneous,
 )
 from .core import count_compositions, kfib_order_k1, kfib_table
+from .errors import DomainError
 
 SUITES = ("engines", "identities", "series", "erratum")
 
@@ -190,6 +191,17 @@ def verify_erratum(k_max: int = 6, n_max: int = 200) -> VerifyReport:
 
 
 def run_suites(names, k_max: int = 6, n_max: int = 200) -> list[VerifyReport]:
+    """Run the named suites over k = 2..k_max and n up to n_max.
+
+    A range in which a suite would check nothing is refused with
+    DomainError before any suite runs.
+    """
+    if type(k_max) is not int or k_max < 2:
+        raise DomainError(f"k_max must be an integer >= 2, got {k_max!r}")
+    if type(n_max) is not int or n_max < 0:
+        raise DomainError(f"n_max must be a nonnegative integer, got {n_max!r}")
+    if "erratum" in names and n_max < 2:
+        raise DomainError(f"the erratum suite needs n_max >= 2, got {n_max}")
     runners = {
         "engines": verify_engines,
         "identities": verify_identities,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,6 +8,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kfib
 from kfib import cli, dominant_root, verify
@@ -268,9 +271,9 @@ NOT_LOADED = {
     ("rho", "--k", "2", "--epsilon"): {"kfib.series", "kfib.verify"},
     ("asymptotic", "--k", "3", "--n", "100", "--ratio"): {"kfib.series", "kfib.verify"},
     ("series", "--which", "thm1", "--k", "2", "--n", "1"): {
-        "kfib.dominant_root", "kfib.verify"},
+        "kfib.certified", "kfib.dominant_root", "kfib.verify"},
     ("series", "--which", "thm2", "--k", "3", "--a", "-2", "--terms", "40"): {
-        "kfib.dominant_root", "kfib.verify"},
+        "kfib.certified", "kfib.dominant_root", "kfib.verify"},
     ("verify", "--suite", "engines"): {
         "kfib.certified", "kfib.dominant_root", "kfib.series"},
     ("verify", "--suite", "identities"): {
@@ -361,3 +364,123 @@ def test_series_output_pinned(capsys, argv):
     assert code == 0
     (rec,) = json.loads(out)
     assert (rec["value"], rec["error_bound"], rec["params"]["terms"]) == SERIES_PINNED[argv]
+
+
+# -- rho and asymptotic --ratio output pinned at the benchmark's sizes ------
+
+#: argv -> (error_bound, digits in value, sha256 of value, first 16 hex) as
+#: printed before decimals were rendered in integers
+CERTIFIED_PINNED = {
+    ("rho", "--k", "2", "--bits", "64"): ("9.0e-81", 83, "9c7d7935302a4f10"),
+    ("rho", "--k", "2", "--bits", "128"): ("7.8e-158", 160, "e7197e689adf7884"),
+    ("rho", "--k", "2", "--bits", "256"): ("6.0e-312", 314, "b4afc2bed6909e27"),
+    ("rho", "--k", "2", "--bits", "512"): ("5.1e-401", 402, "c53f0f145e877b73"),
+    ("rho", "--k", "2", "--bits", "1024"): ("5.1e-401", 402, "c53f0f145e877b73"),
+    ("rho", "--k", "2", "--bits", "2048"): ("5.1e-401", 402, "c53f0f145e877b73"),
+    ("rho", "--k", "5", "--bits", "64"): ("1.6e-81", 83, "45f7682f9c972cbd"),
+    ("rho", "--k", "5", "--bits", "128"): ("9.7e-159", 161, "f872e7ad69d0332e"),
+    ("rho", "--k", "5", "--bits", "256"): ("7.3e-313", 315, "a1923929336c9997"),
+    ("rho", "--k", "5", "--bits", "512"): ("5.1e-401", 402, "5c9427a211ecc8fd"),
+    ("rho", "--k", "5", "--bits", "1024"): ("5.1e-401", 402, "5c9427a211ecc8fd"),
+    ("rho", "--k", "5", "--bits", "2048"): ("5.1e-401", 402, "5c9427a211ecc8fd"),
+    ("asymptotic", "--k", "3", "--n", "25", "--bits", "64", "--ratio"): (
+        "2.1e-38", 40, "265b748feadc72f2"),
+    ("asymptotic", "--k", "3", "--n", "50", "--bits", "64", "--ratio"): (
+        "2.3e-46", 48, "be1256c03442df63"),
+    ("asymptotic", "--k", "3", "--n", "100", "--bits", "64", "--ratio"): (
+        "1.8e-60", 62, "715b4e69e7c2a428"),
+    ("asymptotic", "--k", "3", "--n", "200", "--bits", "64", "--ratio"): (
+        "2.2e-90", 92, "050ab3945765926f"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(CERTIFIED_PINNED), ids=" ".join)
+def test_certified_output_pinned(capsys, argv):
+    code, out, _ = run_capture(capsys, "--format", "json", *argv)
+    assert code == 0
+    (rec,) = json.loads(out)
+    value = rec["value"]
+    digest = hashlib.sha256(value.encode()).hexdigest()[:16]
+    assert (rec["error_bound"], len(value), digest) == CERTIFIED_PINNED[argv]
+
+
+# -- integer rendering against the Fraction loops it replaced --------------
+
+
+def _digits_for_loop(bound, cap=400):
+    d = 0
+    while d < cap and Fraction(1, 10**d) > bound:
+        d += 1
+    return d
+
+
+def _bound_decimal_loop(x):
+    if x == 0:
+        return "0"
+    e = 0
+    while x < 1:
+        x *= 10
+        e -= 1
+    while x >= 10:
+        x /= 10
+        e += 1
+    mant_tenths = -((-x * 10) // 1)  # ceil
+    if mant_tenths >= 100:
+        mant_tenths = 10
+        e += 1
+    return f"{cli._fraction_decimal(Fraction(mant_tenths, 10), 1)}e{e:+03d}"
+
+
+_POSITIVE = st.one_of(
+    # arbitrary ratios, both below 1 and at or above 10
+    st.builds(Fraction, st.integers(1, 10**60), st.integers(1, 10**60)),
+    # exact powers of ten and their neighbours
+    st.builds(lambda e, d: Fraction(10) ** e + Fraction(d, 10**450),
+              st.integers(-420, 60), st.integers(-1, 1)).filter(lambda x: x > 0),
+    # mantissas 9.91..9.99... that round up to 10.0
+    st.builds(lambda e, t: Fraction(9901 + t, 1000) * Fraction(10) ** e,
+              st.integers(-420, 60), st.integers(0, 98)),
+    # around the 400-digit cap
+    st.builds(lambda d, num: Fraction(num, 10**d), st.integers(395, 405),
+              st.integers(1, 10**4)),
+)
+
+
+@given(_POSITIVE)
+@settings(max_examples=400, deadline=None)
+def test_integer_rendering_matches_fraction_loops(x):
+    assert cli._digits_for(x) == _digits_for_loop(x)
+    assert cli._digits_for(x, cap=7) == _digits_for_loop(x, cap=7)
+    assert cli._bound_decimal(x) == _bound_decimal_loop(x)
+
+
+def test_integer_rendering_edge_values():
+    for x in (Fraction(1), Fraction(10), Fraction(1, 10), Fraction(10) ** -400,
+              Fraction(10) ** -401, Fraction(99, 10), Fraction(991, 100),
+              Fraction(9901, 1000), Fraction(1, 3), Fraction(10**500 + 1, 10**100)):
+        assert cli._digits_for(x) == _digits_for_loop(x), x
+        assert cli._bound_decimal(x) == _bound_decimal_loop(x), x
+    assert cli._bound_decimal(Fraction(9901, 1000)) == "1.0e+01"
+    assert cli._digits_for(Fraction(0)) == _digits_for_loop(Fraction(0)) == 400
+
+
+# -- verify refuses ranges in which a suite would check nothing -------------
+
+
+@pytest.mark.parametrize("argv", [
+    ("--suite", "all", "--k-max", "1"),
+    ("--suite", "erratum", "--k-max", "2", "--n-max", "0"),
+    ("--k-max", "0", "--n-max", "-5"),
+    ("--suite", "engines", "--n-max", "-1"),
+], ids=" ".join)
+def test_verify_refuses_empty_ranges(capsys, argv):
+    code, out, err = run_capture(capsys, "verify", *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("domain error:") and err.count("\n") == 1
+
+
+def test_verify_smallest_ranges_check_something(capsys):
+    for suite, n_max in (("engines", "0"), ("identities", "0"), ("erratum", "2")):
+        code, out, _ = run_capture(capsys, "verify", "--suite", suite, "--k-max", "2",
+                                   "--n-max", n_max)
+        assert code == 0 and " 0 cells" not in out, suite

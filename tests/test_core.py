@@ -114,8 +114,7 @@ def test_bool_arguments_rejected_by_every_entry_point():
         (kfib.count_compositions, 3, 5), (kfib.fib_binomial, 9),
         (kfib.kfib_binomial, 3, 9), (kfib.kfib_binomial_shifted, 3, 9),
         (kfib.kfib_ordinary, 3, 9), (kfib.kfib_ordinary_alt, 3, 9),
-        (kfib.kfib_ordinary_erroneous, 3, 9), (kfib.contraction_factor, 3),
-        (kfib.term_ratio_limit, 3), (kfib.epsilon, 3, 16), (kfib.rho, 3, 16),
+        (kfib.kfib_ordinary_erroneous, 3, 9), (kfib.term_ratio_limit, 3), (kfib.epsilon, 3, 16), (kfib.rho, 3, 16),
         (kfib.asymptotic, 3, 9, 16), (kfib.asymptotic_ratio, 3, 9, 16),
         (kfib.rho_power_partial, 3, 2, 4), (kfib.hermite_sum_partial, 3, -1, 4),
         (kfib.asymptotic_series_partial, 3, 9, 4),

@@ -7,7 +7,6 @@ from kfib.core import kfib_order_k
 from kfib.dominant_root import (
     asymptotic,
     asymptotic_ratio,
-    contraction_factor,
     epsilon,
     rho,
 )
@@ -19,12 +18,6 @@ from oracles import (
     mpmath_dominant_root,
     phi_reference,
 )
-
-
-def test_contraction_factor_below_one():
-    assert contraction_factor(2) == Fraction(2) / Fraction(3, 2) ** 3
-    for k in range(2, 65):
-        assert 0 < contraction_factor(k) < 1, k
 
 
 def test_epsilon_golden_ratio():

@@ -1,6 +1,8 @@
+import ast
 import importlib
 import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -70,3 +72,13 @@ def test_records_keep_fields_and_positional_construction():
         p.value = Fraction(0)
     table = FibTable(2, (0, 1, 1, 2))
     assert (table.k, table.values, table[3], len(table)) == (2, (0, 1, 1, 2), 2, 4)
+
+
+def test_no_assert_statements_in_the_package():
+    # invariants raise errors: ``python -O`` strips every assert statement
+    sources = sorted(Path(kfib.__file__).parent.glob("*.py"))
+    assert len(sources) > 5
+    found = [f"{path.name}:{node.lineno}" for path in sources
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from kfib import series as series_module
 from kfib.binomial import binom
 from kfib.closed_forms import kfib_binomial_shifted
 from kfib.dominant_root import asymptotic, rho
@@ -318,3 +319,31 @@ def test_adaptive_over_one_series_matches_fresh_series(k):
         p = adaptive_partial(series.partial, tol)
         assert p == old, label
         assert tuple(p) == oracle.partial(p.terms_used), label
+
+
+def test_tail_bridged_once_per_series(monkeypatch):
+    # at k=2, a=-4000 every doubling from 4 to 1024 terms lies below the gate
+    # point (~5,000): the bridge to it is summed once, and each later request
+    # drops the terms it now sums instead of bridging again
+    calls = {"good": 0, "split": 0}
+    good, split = series_module._TailSeries._good, series_module._split_sum
+
+    def counted_good(self, j):
+        calls["good"] += 1
+        return good(self, j)
+
+    def counted_split(*args):
+        calls["split"] += 1
+        return split(*args)
+
+    gate = hermite_series(2, -4000)._gate(0)
+    monkeypatch.setattr(series_module._TailSeries, "_good", counted_good)
+    monkeypatch.setattr(series_module, "_split_sum", counted_split)
+    series = hermite_series(2, -4000)
+    p = adaptive_partial(series.partial, Fraction(1, 10**30))
+    assert p.terms_used == 1024 < gate
+    assert calls["good"] <= 2 * gate and calls["split"] <= 4 * gate, (calls, gate)
+    monkeypatch.undo()
+    for t in (4, 8, 64, 1024):
+        assert series.partial(t) == hermite_sum_partial(2, -4000, t), t
+    assert p == hermite_sum_partial(2, -4000, 1024)
