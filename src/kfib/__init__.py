@@ -19,10 +19,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "binomial": ("binom",),
     "certified": ("CertifiedReal",),
-    "closed_forms": ("fib_binomial", "kfib_binomial", "kfib_binomial_shifted",
-                     "kfib_ordinary", "kfib_ordinary_alt", "kfib_ordinary_erroneous"),
-    "core": ("ORACLE_CAP", "FibTable", "count_compositions", "kfib_order_k",
-             "kfib_order_k1", "kfib_table"),
+    "closed_forms": ("kfib_binomial", "kfib_binomial_shifted", "kfib_ordinary",
+                     "kfib_ordinary_alt", "kfib_ordinary_erroneous"),
+    "core": ("ORACLE_CAP", "count_compositions", "kfib_order_k", "kfib_order_k1",
+             "kfib_table"),
     "dominant_root": ("asymptotic", "asymptotic_ratio", "epsilon", "rho"),
     "dyadic": ("Dyadic",),
     "errors": ("CertificationError", "DomainError", "IntegralityError", "OracleCapError"),

@@ -2,32 +2,33 @@
 
 Subcommands expose every computation of the library with deterministic,
 machine-readable output.  All numeric payloads are decimal strings (never
-floats): exact results carry no error bound, approximate ones always do.
-Exact integers print in full, however many digits they have; an
-approximate value's digit count and upper-rounded bound come from a few
-integer compares.  ``rho`` reports its root as method "newton": Newton
-steps certified by an exact sign change of the characteristic polynomial.
+floats): exact results carry no error bound, approximate ones always do
+(rendered by ``kfib.render``), and exact integers print in full, however
+many digits they have.  ``rho`` reports its root as method "newton":
+Newton steps certified by an exact sign change of its polynomial.
 
-A command imports only the layers it runs: importing this module loads
-``kfib.errors`` and nothing else of the package, and each library function
-a handler calls is imported on first use (``fib --method recurrence``
-loads ``core`` alone, ``rho`` the root, ``series`` no ball type, and
-``verify`` the root and the series only for its series suite).
+A command imports only what it runs: importing this module loads
+``kfib.errors`` and nothing else of the package, and no argument parser,
+JSON encoder or rational type.  Each library function a handler calls is
+imported on first use (``fib --method recurrence`` loads ``core`` alone).
+
+The command line is read from one table, ``OPTIONS``.  Global flags come
+before the command; an option is ``--name value`` or ``--name=value``
+under its full name (no abbreviations), and its last repeat wins.
+``-h``/``--help`` prints usage lines built from the table.  A malformed
+command line prints a ``usage:`` line and ``kfib: error: ...`` on stderr.
 
 Exit codes: 0 success, 2 usage error, 3 domain error (including a series
-whose tail bound would need terms past the probe cap, and a verify range
-with no cells), 4 verification failure, 5 a certificate that failed to
-verify (an internal error).
+whose tail bound would need terms past the probe cap, a ``--tol`` outside
+[1e-400, 1e400], and a verify range with no cells), 4 verification
+failure, 5 a certificate that failed to verify (an internal error).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 import time
 from collections import namedtuple
-from fractions import Fraction
 from importlib import import_module
 
 from .errors import CertificationError, DomainError, IntegralityError, OracleCapError
@@ -62,94 +63,66 @@ class OutputRecord(namedtuple("OutputRecord",
     __slots__ = ()
 
 
-# -- decimal rendering ---------------------------------------------------
-
-
-def _int_decimal(x: int) -> str:
-    """str(x) with CPython's int-to-str digit limit lifted for this call only."""
-    if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.11: no limit
-        return str(x)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return str(x)
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
-def _fraction_decimal(x: Fraction, digits: int) -> str:
-    scaled = round(x * 10**digits)
-    sign = "-" if scaled < 0 else ""
-    body = _int_decimal(abs(scaled))
-    if digits == 0:
-        return sign + body
-    body = body.rjust(digits + 1, "0")
-    return f"{sign}{body[:-digits]}.{body[-digits:]}"
-
-
-def _scientific(x: Fraction) -> tuple[int, int, int]:
-    """(e, n, m) with x = 10**e * n/m and 1 <= n/m < 10, for x > 0."""
-    n, m = x.numerator, x.denominator
-    e = (n.bit_length() - m.bit_length() - 1) * 30103 // 100000 - 1  # <= log10 x
-    n, m = (n * 10**-e, m) if e < 0 else (n, m * 10**e)
-    while n >= 10 * m:
-        m *= 10
-        e += 1
-    return e, n, m
-
-
-def _digits_for(bound: Fraction, cap: int = 400) -> int:
-    return min(cap, max(0, -_scientific(bound)[0])) if bound > 0 else cap
-
-
-def _bound_decimal(x: Fraction) -> str:
-    """Upper-rounded scientific rendering with two significant digits."""
-    e, n, m = _scientific(x)
-    tenths = -(-10 * n // m)  # ceil, in 10..100
-    if tenths == 100:
-        tenths, e = 10, e + 1
-    return f"{tenths // 10}.{tenths % 10}e{e:+03d}"
+# -- output formatting ---------------------------------------------------
 
 
 def _certified_record(command: str, params: dict[str, str], value: CertifiedReal,
                       method: str) -> OutputRecord:
-    if value.err == 0 and value.approx.denominator == 1:
-        return OutputRecord(command, params, _int_decimal(value.approx.numerator),
-                            True, None, method)
-    digits = _digits_for(value.err) if value.err else 60
-    shown = _fraction_decimal(value.approx, digits)
-    total = value.err + Fraction(1, 2 * 10**digits)
-    return OutputRecord(command, params, shown, False, _bound_decimal(total), method)
+    from .render import approx, digits_for  # approximate values only
+
+    x, err = value.approx, value.err
+    if err == 0 and x.denominator == 1:
+        return OutputRecord(command, params, str(x.numerator), True, None, method)
+    shown, bound = approx(x, err, digits_for(err) if err else 60)
+    return OutputRecord(command, params, shown, False, bound, method)
 
 
 def _partial_record(command: str, params: dict[str, str], p: SeriesPartialSum,
                     method: str) -> OutputRecord:
-    digits = min(_digits_for(p.tail_bound) + 2, 60)
-    shown = _fraction_decimal(p.value, digits)
-    total = p.tail_bound + Fraction(1, 2 * 10**digits)
+    from .render import approx, digits_for
+
+    shown, bound = approx(p.value, p.tail_bound, min(digits_for(p.tail_bound) + 2, 60))
     params = dict(params, terms=str(p.terms_used))
-    return OutputRecord(command, params, shown, False, _bound_decimal(total), method)
+    return OutputRecord(command, params, shown, False, bound, method)
 
 
-# -- output formatting ---------------------------------------------------
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t",
+            "\b": "\\b", "\f": "\\f"}
 
 
-def _record_json(r: OutputRecord) -> dict:
-    out = {
-        "command": r.command,
-        "params": r.params,
-        "value": r.value,
-        "exact": r.exact,
-    }
-    if not r.exact:
-        out["error_bound"] = r.error_bound
-    out["method"] = r.method
-    return out
+def _json_char(c: str) -> str:
+    o = ord(c)
+    if o > 0xFFFF:  # a surrogate pair
+        o -= 0x10000
+        return f"\\u{0xD800 | o >> 10:04x}\\u{0xDC00 | o & 0x3FF:04x}"
+    return _ESCAPES.get(c) or (c if 32 <= o < 127 else f"\\u{o:04x}")
+
+
+def _json(x, indent: str = "") -> str:
+    """``json.dumps(x, indent=2)`` for str-keyed dicts, lists, str, int, bool and None."""
+    if isinstance(x, str):
+        if not (x.isascii() and x.isprintable()) or '"' in x or "\\" in x:
+            x = "".join(map(_json_char, x))
+        return f'"{x}"'
+    if x is None or isinstance(x, bool):
+        return "null" if x is None else "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    inner = indent + "  "
+    if isinstance(x, dict):
+        items, brackets = [f"{_json(k)}: {_json(v, inner)}" for k, v in x.items()], "{}"
+    else:
+        items, brackets = [_json(v, inner) for v in x], "[]"
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
 
 
 def _emit_records(records: list[OutputRecord], fmt: str, quiet: bool) -> None:
     if fmt == "json":
-        print(json.dumps([_record_json(r) for r in records], indent=2))
+        # the record's fields in order, error_bound only where not exact
+        print(_json([{k: v for k, v in r._asdict().items()
+                      if k != "error_bound" or not r.exact} for r in records]))
     elif fmt == "csv":
         print("command,method,params,value,exact,error_bound")
         for r in records:
@@ -158,29 +131,18 @@ def _emit_records(records: list[OutputRecord], fmt: str, quiet: bool) -> None:
             print(f"{r.command},{r.method},{params},{r.value},{r.exact},{bound}")
     else:
         for r in records:
-            if quiet:
-                print(r.value)
-                continue
             params = " ".join(f"{k}={v}" for k, v in r.params.items())
             tail = "(exact)" if r.exact else f"± {r.error_bound}"
-            print(f"{r.command}[{r.method}] {params} -> {r.value} {tail}")
+            print(r.value if quiet else f"{r.command}[{r.method}] {params} -> {r.value} {tail}")
 
 
 def _emit_reports(reports: list[VerifyReport], fmt: str, quiet: bool) -> None:
     if fmt == "json":
-        payload = [
-            {
-                "suite": rep.suite,
-                "cells": [
-                    {"check": c.check, "k": str(c.k), "n": str(c.n), "pass": c.ok,
-                     "expected": c.expected, "actual": c.actual}
-                    for c in rep.cells
-                ],
-                "failures": rep.failures,
-            }
-            for rep in reports
-        ]
-        print(json.dumps(payload, indent=2))
+        print(_json([{"suite": rep.suite,
+                      "cells": [{"check": c.check, "k": str(c.k), "n": str(c.n), "pass": c.ok,
+                                 "expected": c.expected, "actual": c.actual}
+                                for c in rep.cells],
+                      "failures": rep.failures} for rep in reports]))
         return
     if fmt == "csv":
         print("suite,check,k,n,pass,expected,actual")
@@ -188,9 +150,7 @@ def _emit_reports(reports: list[VerifyReport], fmt: str, quiet: bool) -> None:
             for c in rep.cells:
                 print(f"{rep.suite},{c.check},{c.k},{c.n},{c.ok},{c.expected},{c.actual}")
         return
-    total = 0
     for rep in reports:
-        total += rep.failures
         print(f"suite {rep.suite}: {len(rep.cells)} cells, {rep.failures} failures")
         for c in rep.cells:
             if not c.ok:
@@ -199,182 +159,222 @@ def _emit_reports(reports: list[VerifyReport], fmt: str, quiet: bool) -> None:
             elif c.check == "divergence" and not quiet:
                 print(f"  divergence (expected): k={c.k} n={c.n} "
                       f"correct={c.expected} misranged={c.actual}")
-    print(f"TOTAL failures: {total}")
+    print(f"TOTAL failures: {sum(rep.failures for rep in reports)}")
 
 
 # -- argument parsing ----------------------------------------------------
 
 #: fib --method -> the engine that computes it
-FIB_ENGINES = {
-    "recurrence": "kfib_order_k",
-    "recurrence-k1": "kfib_order_k1",
-    "binomial": "kfib_binomial",
-    "ordinary": "kfib_ordinary",
-    "ordinary-alt": "kfib_ordinary_alt",
-}
-FIB_METHODS = (*FIB_ENGINES, "all")
-#: the suites of ``kfib.verify.SUITES``, named here so that building the
-#: parser does not import the verify sweeps
+FIB_ENGINES = {"recurrence": "kfib_order_k", "recurrence-k1": "kfib_order_k1",
+               "binomial": "kfib_binomial", "ordinary": "kfib_ordinary",
+               "ordinary-alt": "kfib_ordinary_alt"}
+#: the suites of ``kfib.verify.SUITES``, named here so that reading the
+#: command line does not import the verify sweeps
 SUITES = ("engines", "identities", "series", "erratum")
 
+#: command (None: the global flags) -> option -> (type, choices, default);
+#: a bool option is a flag, and the default ... marks a required option
+OPTIONS = {
+    None: {"format": (str, ("text", "json", "csv"), "text"), "quiet": (bool, None, False),
+           "timing": (bool, None, False)},
+    "fib": {"k": (int, None, ...), "n": (int, None, ...),
+            "method": (str, (*FIB_ENGINES, "all"), "recurrence")},
+    "rho": {"k": (int, None, ...), "bits": (int, None, 64), "epsilon": (bool, None, False)},
+    "series": {"which": (str, ("thm1", "thm2", "thm3"), ...), "k": (int, None, ...),
+               "n": (int, None, None), "a": (int, None, None), "terms": (int, None, None),
+               "tol": (str, None, None)},
+    "asymptotic": {"k": (int, None, ...), "n": (int, None, ...), "bits": (int, None, 64),
+                   "ratio": (bool, None, False)},
+    "verify": {"suite": (str, (*SUITES, "all"), "all"), "k-max": (int, None, 6),
+               "n-max": (int, None, 200)},
+}
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="kfib",
-        description="Exact k-step Fibonacci numbers, binomial-sum identities, "
-                    "and certified dominant-root computations.",
-    )
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--quiet", action="store_true",
-                   help="text format: print bare values / failures only")
-    p.add_argument("--timing", action="store_true",
-                   help="report elapsed time on stderr")
-    sub = p.add_subparsers(dest="command", required=True)
 
-    fib = sub.add_parser("fib", help="compute F[n] for the k-step sequence")
-    fib.add_argument("--k", type=int, required=True)
-    fib.add_argument("--n", type=int, required=True)
-    fib.add_argument("--method", choices=FIB_METHODS, default="recurrence")
+class UsageError(Exception):
+    """A malformed command line: ``UsageError(command or None, message)``."""
 
-    root = sub.add_parser("rho", help="certified dominant root (or its gap to 2)")
-    root.add_argument("--k", type=int, required=True)
-    root.add_argument("--bits", type=int, default=64)
-    root.add_argument("--epsilon", action="store_true",
-                      help="print the gap 2 - rho instead of rho")
 
-    ser = sub.add_parser("series", help="binomial-series partial sums with tail bounds")
-    ser.add_argument("--which", choices=("thm1", "thm2", "thm3"), required=True)
-    ser.add_argument("--k", type=int, required=True)
-    ser.add_argument("--n", type=int)
-    ser.add_argument("--a", type=int)
-    ser.add_argument("--terms", type=int)
-    ser.add_argument("--tol", type=str)
+def _usage(command: str | None) -> str:
+    words = ["usage: kfib" if command is None else f"usage: kfib {command}", "[-h]"]
+    for name, (kind, choices, default) in OPTIONS[command].items():
+        metavar = "{%s}" % ",".join(choices) if choices else name.replace("-", "_").upper()
+        word = f"--{name}" if kind is bool else f"--{name} {metavar}"
+        words.append(word if default is ... else f"[{word}]")
+    if command is None:
+        words.append("{%s} ..." % ",".join(filter(None, OPTIONS)))
+    return " ".join(words)
 
-    asym = sub.add_parser("asymptotic", help="dominant-term value or F[n]/approximation ratio")
-    asym.add_argument("--k", type=int, required=True)
-    asym.add_argument("--n", type=int, required=True)
-    asym.add_argument("--bits", type=int, default=64)
-    asym.add_argument("--ratio", action="store_true")
 
-    ver = sub.add_parser("verify", help="run cross-engine verification sweeps")
-    ver.add_argument("--suite", choices=SUITES + ("all",), default="all")
-    ver.add_argument("--k-max", type=int, default=6)
-    ver.add_argument("--n-max", type=int, default=200)
-    return p
+def _is_value(token: str, table: dict) -> bool:
+    """Whether argparse reads ``token`` as a value: not an option of ``table``
+    (bare or with =value), and not starting with '-' unless it is '-', a
+    negative number, or holds a space."""
+    rest = token[1:]
+    return not (token[:2] == "--" and token[2:].partition("=")[0] in table) and (
+        token[:1] != "-" or not rest or " " in token
+        or rest.replace(".", "", 1).isdecimal() and rest[-1] != ".")
+
+
+def _parse(argv: list[str]) -> tuple[str | None, dict | None]:
+    """(command, option name -> value) read from argv; the options are None
+    where -h/--help asked for the usage of the command."""
+    command, i = None, 0
+    opts = {name: spec[2] for name, spec in OPTIONS[None].items()}
+    while i < len(argv):
+        token, i = argv[i], i + 1
+        if token in ("-h", "--help"):
+            return command, None
+        if _is_value(token, OPTIONS[command]):
+            if command is not None or token not in OPTIONS:
+                raise UsageError(command, f"unrecognized argument or command: {token}")
+            command = token
+            opts.update((name, spec[2]) for name, spec in OPTIONS[command].items())
+            continue
+        name, eq, value = token[2:].partition("=")
+        kind, choices, _ = OPTIONS[command].get(name if token[:2] == "--" else "", (None,) * 3)
+        if kind is None:
+            raise UsageError(command, f"unrecognized argument: {token}")
+        if kind is bool:
+            if eq:
+                raise UsageError(command, f"--{name} takes no value")
+            value = True
+        elif not eq:
+            if i == len(argv) or not _is_value(argv[i], OPTIONS[command]):
+                raise UsageError(command, f"--{name} expects a value")
+            value, i = argv[i], i + 1
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError(command, f"--{name}: not an integer: {value!r}") from None
+        if choices and value not in choices:
+            raise UsageError(command, f"--{name}: {value!r} is not one of {', '.join(choices)}")
+        opts[name] = value
+    if command is None:
+        raise UsageError(None, "a command is required")
+    missing = [f"--{name}" for name in OPTIONS[command] if opts[name] is ...]
+    if missing:
+        raise UsageError(command, f"missing required options: {', '.join(missing)}")
+    return command, opts
 
 
 # -- subcommand handlers -------------------------------------------------
 
 
-def _run_fib(args, parser) -> tuple[list[OutputRecord], int]:
-    k, n = args.k, args.n
-
-    def engine(method):
-        return _load(FIB_ENGINES[method])
-
+def _run_fib(opts: dict) -> tuple[list[OutputRecord], int]:
+    k, n, method = opts["k"], opts["n"], opts["method"]
+    methods = [method] if method != "all" else [
+        m for m in FIB_ENGINES  # the closed forms need n >= k, and ordinary n != 2k-1
+        if (n >= k or m.startswith("recurrence")) and (m, n) != ("ordinary", 2 * k - 1)]
     params = {"k": str(k), "n": str(n)}
-    if args.method != "all":
-        value = engine(args.method)(k, n)
-        return [OutputRecord("fib", params, _int_decimal(value), True, None,
-                             args.method)], 0
-    methods = ["recurrence", "recurrence-k1"]
-    if n >= k:
-        methods.append("binomial")
-        if n != 2 * k - 1:
-            methods.append("ordinary")
-        methods.append("ordinary-alt")
-    records = [OutputRecord("fib", params, _int_decimal(engine(m)(k, n)), True, None, m)
+    records = [OutputRecord("fib", params, str(_load(FIB_ENGINES[m])(k, n)), True, None, m)
                for m in methods]
-    values = {r.value for r in records}
-    if len(values) > 1:
+    if len({r.value for r in records}) > 1:
         print("method disagreement: " + ", ".join(f"{r.method}={r.value}" for r in records),
               file=sys.stderr)
         return records, 4
     return records, 0
 
 
-def _run_rho(args, parser) -> tuple[list[OutputRecord], int]:
-    quantity = "epsilon" if args.epsilon else "rho"
-    params = {"k": str(args.k), "bits": str(args.bits), "quantity": quantity}
-    value = _load(quantity)(args.k, args.bits)
+def _run_rho(opts: dict) -> tuple[list[OutputRecord], int]:
+    quantity = "epsilon" if opts["epsilon"] else "rho"
+    params = {"k": str(opts["k"]), "bits": str(opts["bits"]), "quantity": quantity}
+    value = _load(quantity)(opts["k"], opts["bits"])
     return [_certified_record("rho", params, value, "newton")], 0
 
 
-def _run_series(args, parser) -> tuple[list[OutputRecord], int]:
-    which = args.which
-    if args.terms is not None and args.tol is not None:
-        parser.error("--terms and --tol are mutually exclusive")
-    if which in ("thm1", "thm3"):
-        if args.n is None:
-            parser.error(f"--n is required for --which {which}")
-        param_val = args.n
-        key = "n"
-        builder = "rho_power_series" if which == "thm1" else "asymptotic_series"
-    else:
-        if args.a is None:
-            parser.error("--a is required for --which thm2")
-        param_val = args.a
-        key = "a"
-        builder = "hermite_series"
-    params = {"k": str(args.k), key: str(param_val)}
-    if args.terms is not None:
-        p = _load(builder)(args.k, param_val).partial(args.terms)
-        return [_partial_record("series", params, p, f"{which}-partial")], 0
+def _tol(text: str):
+    """--tol as a Fraction, refused outside [10**-DIGITS_CAP, 10**DIGITS_CAP]
+    from its decimal exponent before 10**exponent is built."""
+    from fractions import Fraction  # the one use of Fraction here
+
+    from .render import DIGITS_CAP
+
+    mant, e, exp = text.replace("E", "e").partition("e")
     try:
-        tol = Fraction(args.tol if args.tol is not None else "1e-12")
+        if exp[:1].isspace():  # int() would take what Fraction() refuses
+            raise ValueError
+        tol, shift = Fraction(mant + "e0" if e else mant), int(exp) if e else 0
     except (ValueError, ZeroDivisionError):
-        parser.error(f"--tol: not a decimal number: {args.tol!r}")
+        raise UsageError("series", f"--tol: not a decimal number: {text!r}") from None
     if tol <= 0:
-        parser.error("--tol must be positive")
+        raise UsageError("series", "--tol must be positive")
+    # 10**-len(mant) <= tol < 10**len(mant) here, so a larger shift is out of range
+    if abs(shift) <= DIGITS_CAP + len(mant):
+        tol *= Fraction(10) ** shift
+        if Fraction(1, 10**DIGITS_CAP) <= tol <= 10**DIGITS_CAP:
+            return tol
+    raise DomainError(f"--tol must lie in [1e-{DIGITS_CAP}, 1e{DIGITS_CAP}], got {text}")
+
+
+def _run_series(opts: dict) -> tuple[list[OutputRecord], int]:
+    which, k, terms, tol = opts["which"], opts["k"], opts["terms"], opts["tol"]
+    if terms is not None and tol is not None:
+        raise UsageError("series", "--terms and --tol are mutually exclusive")
+    key = "a" if which == "thm2" else "n"
+    if opts[key] is None:
+        raise UsageError("series", f"--{key} is required for --which {which}")
+    builder = {"thm1": "rho_power_series", "thm2": "hermite_series",
+               "thm3": "asymptotic_series"}[which]
+    params = {"k": str(k), key: str(opts[key])}
+    if terms is not None:
+        p = _load(builder)(k, opts[key]).partial(terms)
+        return [_partial_record("series", params, p, f"{which}-partial")], 0
+    tol = "1e-12" if tol is None else tol
+    bound = _tol(tol)
     # one series for the whole run: each doubling extends its running sum
-    series = _load(builder)(args.k, param_val)
-    p = _load("adaptive_partial")(series.partial, tol)
-    return [_partial_record("series", dict(params, tol=str(args.tol or "1e-12")),
-                            p, f"{which}-adaptive")], 0
+    p = _load("adaptive_partial")(_load(builder)(k, opts[key]).partial, bound)
+    return [_partial_record("series", dict(params, tol=tol), p, f"{which}-adaptive")], 0
 
 
-def _run_asymptotic(args, parser) -> tuple[list[OutputRecord], int]:
-    quantity, name = ("ratio", "asymptotic_ratio") if args.ratio else ("value", "asymptotic")
-    params = {"k": str(args.k), "n": str(args.n), "bits": str(args.bits),
+def _run_asymptotic(opts: dict) -> tuple[list[OutputRecord], int]:
+    quantity, name = ("ratio", "asymptotic_ratio") if opts["ratio"] else ("value", "asymptotic")
+    params = {"k": str(opts["k"]), "n": str(opts["n"]), "bits": str(opts["bits"]),
               "quantity": quantity}
-    value = _load(name)(args.k, args.n, args.bits)
+    value = _load(name)(opts["k"], opts["n"], opts["bits"])
     return [_certified_record("asymptotic", params, value, "dominant-root")], 0
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one command line; the exit code.  Once argv is read (an int option
+    of more digits than CPython's int-to-str limit stays a usage error), the
+    limit is lifted so that integers print in full, and restored on return."""
+    limit = 0
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    started = time.perf_counter()
-    try:
-        if args.command == "verify":
-            names = SUITES if args.suite == "all" else (args.suite,)
-            reports = _load("run_suites")(names, args.k_max, args.n_max)
-            _emit_reports(reports, args.format, args.quiet)
+        command, opts = _parse(sys.argv[1:] if argv is None else argv)
+        if opts is None:
+            print("\n".join(map(_usage, [command] if command else OPTIONS)))
+            return 0
+        if hasattr(sys, "get_int_max_str_digits"):  # Python >= 3.11
+            limit = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
+        started = time.perf_counter()
+        if command == "verify":
+            names = SUITES if opts["suite"] == "all" else (opts["suite"],)
+            reports = _load("run_suites")(names, opts["k-max"], opts["n-max"])
+            _emit_reports(reports, opts["format"], opts["quiet"])
             code = 4 if any(rep.failures for rep in reports) else 0
         else:
-            handler = {
-                "fib": _run_fib,
-                "rho": _run_rho,
-                "series": _run_series,
-                "asymptotic": _run_asymptotic,
-            }[args.command]
-            try:
-                records, code = handler(args, parser)
-            except SystemExit as exc:  # parser.error inside a handler
-                return exc.code if isinstance(exc.code, int) else 2
-            _emit_records(records, args.format, args.quiet)
+            handler = {"fib": _run_fib, "rho": _run_rho, "series": _run_series,
+                       "asymptotic": _run_asymptotic}[command]
+            records, code = handler(opts)
+            _emit_records(records, opts["format"], opts["quiet"])
+        if opts["timing"]:
+            print(f"elapsed: {time.perf_counter() - started:.3f}s", file=sys.stderr)
+        return code
+    except UsageError as exc:
+        command, message = exc.args
+        print(f"{_usage(command)}\nkfib: error: {message}", file=sys.stderr)
+        return 2
     except (DomainError, OracleCapError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
     except (CertificationError, IntegralityError) as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 5
-    if args.timing:
-        print(f"elapsed: {time.perf_counter() - started:.3f}s", file=sys.stderr)
-    return code
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def main() -> None:

@@ -24,13 +24,11 @@ from itertools import chain
 
 from .binomial import binom, binom_row
 from .core import check_k
-from .dyadic import Dyadic
 from .errors import DomainError, IntegralityError
 
-
-def _require_n_at_least(n: int, lo: int) -> None:
-    if type(n) is not int or n < lo:
-        raise DomainError(f"n must be an integer >= {lo}, got {n!r}")
+TYPE_CHECKING = False  # true for type checkers; importing typing costs start-up time
+if TYPE_CHECKING:
+    from .dyadic import Dyadic
 
 
 def _shift_sum(coeffs: Iterable[int], k: int, e0: int) -> tuple[int, int]:
@@ -78,7 +76,8 @@ def kfib_binomial_shifted(k: int, n: int) -> int:
     2**(n-2) for 2 <= n <= k+1 and 2**k - 1 at n = k+2.
     """
     check_k(k)
-    _require_n_at_least(n, 2)
+    if type(n) is not int or n < 2:
+        raise DomainError(f"n must be an integer >= 2, got {n!r}")
     return _reflected_sum(k, n - 1, n - 2)
 
 
@@ -94,13 +93,6 @@ def kfib_binomial(k: int, n: int) -> int:
     return _reflected_sum(k, n - k + 1, n - k)
 
 
-def fib_binomial(n: int) -> int:
-    """The classical Fibonacci number F[n] as a sum over nonpositive
-    powers of 8 (the k = 2 specialization)."""
-    _require_n_at_least(n, 2)
-    return kfib_binomial(2, n)
-
-
 def _ordinary_term(k: int, n: int, el: int) -> int:
     # the coefficient by its definition, for the misranged tail past the
     # correct limit, where the tops are no longer all negative
@@ -108,10 +100,10 @@ def _ordinary_term(k: int, n: int, el: int) -> int:
     return -coeff if el & 1 else coeff
 
 
-def _ordinary_sum(k: int, n: int, upper: int | None = None) -> Dyadic:
-    """sum over 0 <= el <= upper of (-1)**el * (C(m+1, el) - C(m-1, el-2))
-    * 2**(n-k - (k+1)*el), m = n-k+1 - k*el: the alternating ordinary-binomial
-    sum, without the excluded-index gate.
+def _ordinary_sum(k: int, n: int, upper: int | None = None) -> tuple[int, int]:
+    """(N, e) with N * 2**e the sum over 0 <= el <= upper of (-1)**el *
+    (C(m+1, el) - C(m-1, el-2)) * 2**(n-k - (k+1)*el), m = n-k+1 - k*el: the
+    alternating ordinary-binomial sum, without the excluded-index gate.
 
     ``upper`` defaults to the correct limit L = floor((n-k+1)/(k+1)).  Up to
     L, with m' = m+1 >= 2, each coefficient is
@@ -129,8 +121,7 @@ def _ordinary_sum(k: int, n: int, upper: int | None = None) -> Dyadic:
             m -= k
 
     tail = (_ordinary_term(k, n, el) for el in range(last + 1, upper + 1))
-    total, e = _shift_sum(chain(coeffs(), tail), k, n - k)
-    return Dyadic(total, -e)
+    return _shift_sum(chain(coeffs(), tail), k, n - k)
 
 
 def kfib_ordinary(k: int, n: int) -> int:
@@ -148,7 +139,7 @@ def kfib_ordinary(k: int, n: int) -> int:
             f"n = 2k-1 = {n} is excluded from the ordinary-binomial formula; "
             "use another method for this index"
         )
-    return _ordinary_sum(k, n).as_integer()
+    return _exact_int(*_ordinary_sum(k, n))
 
 
 def kfib_ordinary_alt(k: int, n: int) -> int:
@@ -172,7 +163,10 @@ def kfib_ordinary_erroneous(k: int, n: int) -> Dyadic:
     integer; it coincides with F[n] for every n only when k = 2.  Kept so
     the test suite can exhibit inputs where the extra terms matter.
     """
+    from .dyadic import Dyadic  # the one value here that need not be an integer
+
     check_k(k)
     if type(n) is not int or n < k:
         raise DomainError(f"n must be an integer >= k={k}, got {n!r}")
-    return _ordinary_sum(k, n, (n - 1) // (k + 1))
+    total, e = _ordinary_sum(k, n, (n - 1) // (k + 1))
+    return Dyadic(total, -e)

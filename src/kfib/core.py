@@ -28,22 +28,6 @@ def _check_n(n: int) -> int:
     return n
 
 
-class FibTable:
-    """The initial segment F[0..n_max] of a k-step Fibonacci sequence."""
-
-    __slots__ = ("k", "values")
-
-    def __init__(self, k: int, values: tuple[int, ...]):
-        self.k = k
-        self.values = values
-
-    def __getitem__(self, i: int) -> int:
-        return self.values[i]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 def kfib_order_k(k: int, n: int) -> int:
     """F[n] via the order-k sliding-window recurrence."""
     check_k(k)
@@ -78,15 +62,15 @@ def kfib_order_k1(k: int, n: int) -> int:
     return window[-1]
 
 
-def kfib_table(k: int, n_max: int) -> FibTable:
-    """F[0..n_max] in one pass of the order-k rule."""
+def kfib_table(k: int, n_max: int) -> tuple[int, ...]:
+    """The tuple F[0..n_max], in one pass of the order-k rule."""
     check_k(k)
     _check_n(n_max)
     values = [0] * (k - 1) + [1]
     del values[n_max + 1:]
     while len(values) <= n_max:
         values.append(sum(values[-k:]))
-    return FibTable(k, tuple(values))
+    return tuple(values)
 
 
 def count_compositions(k: int, n: int, cap: int = ORACLE_CAP) -> int:

@@ -11,7 +11,6 @@ behavior.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .binomial import binom
 from .closed_forms import (
@@ -114,7 +113,9 @@ def verify_identities(k_max: int = 6, n_max: int = 200) -> VerifyReport:
 
 
 def verify_series(k_max: int = 6, n_max: int = 200) -> VerifyReport:
-    # the root and the series load here only: the other suites never need them
+    # the root, the series and Fraction load here only: no other suite needs them
+    from fractions import Fraction
+
     from .dominant_root import asymptotic, rho
     from .series import (
         adaptive_partial,

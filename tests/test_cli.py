@@ -1,4 +1,8 @@
+import argparse
+import ast
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,11 +12,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import kfib
-from kfib import cli, dominant_root, verify
+from kfib import cli, dominant_root, render, verify
 from kfib.cli import run
 from kfib.core import kfib_order_k
 from kfib.verify import verify_erratum, verify_series
@@ -64,15 +68,67 @@ def test_domain_error_exit_code(capsys):
     assert code == 3
 
 
+#: command lines the parser or a handler refuses
+USAGE_ERRORS = [
+    ("fib", "--k", "2"),  # missing required option
+    ("nonsense",),  # unknown command
+    (),  # no command
+    ("fib", "--k", "2", "--n", "1", "--bogus", "3"),  # unknown option
+    ("fib", "--k", "2", "--n", "1", "--quiet"),  # a global flag after the command
+    ("fib", "--k", "2", "--n"),  # missing value
+    ("fib", "--k", "--n", "1"),  # an option where the value belongs
+    ("fib", "--k", "2", "--n", "x"),  # bad int
+    ("fib", "--k", "2", "--n", "1e3"),
+    ("fib", "--k", "2", "--n", "1", "--method", "fast"),  # bad choice
+    ("--format", "xml", "fib", "--k", "2", "--n", "1"),
+    ("--quiet=yes", "fib", "--k", "2", "--n", "1"),  # a value for a flag
+    ("fib", "--k", "2", "--n", "1", "stray"),
+    ("--form", "json", "fib", "--k", "2", "--n", "1"),  # no abbreviations
+    ("verify", "--k", "3"),
+    ("series", "--which", "thm1", "--k", "2"),  # the handler's own checks
+    ("series", "--which", "thm2", "--k", "2"),
+    ("series", "--which", "thm1", "--k", "2", "--n", "1", "--terms", "4", "--tol", "1e-9"),
+    ("series", "--which", "thm1", "--k", "2", "--n", "1", "--tol", "zero"),
+    ("series", "--which", "thm1", "--k", "2", "--n", "1", "--tol", "-1e-9"),
+    ("series", "--which", "thm1", "--k", "2", "--n", "1", "--tol", "0e999999999"),
+]
+
+
 def test_usage_error_exit_code(capsys):
-    assert run_capture(capsys, "fib", "--k", "2")[0] == 2  # missing --n
-    assert run_capture(capsys, "nonsense")[0] == 2
-    assert run_capture(capsys, "series", "--which", "thm1", "--k", "2")[0] == 2
-    assert run_capture(capsys, "series", "--which", "thm2", "--k", "2")[0] == 2
-    assert run_capture(capsys, "series", "--which", "thm1", "--k", "2", "--n", "1",
-                       "--terms", "4", "--tol", "1e-9")[0] == 2
-    assert run_capture(capsys, "series", "--which", "thm1", "--k", "2", "--n", "1",
-                       "--tol", "zero")[0] == 2
+    for argv in USAGE_ERRORS:
+        code, out, err = run_capture(capsys, *argv)
+        assert code == 2 and out == "", argv
+        usage, error = err.splitlines()
+        assert usage.startswith("usage: kfib") and error.startswith("kfib: error: "), argv
+
+
+def test_usage_error_shows_the_commands_usage(capsys):
+    _, _, err = run_capture(capsys, "rho", "--bits", "64")
+    assert err == ("usage: kfib rho [-h] --k K [--bits BITS] [--epsilon]\n"
+                   "kfib: error: missing required options: --k\n")
+
+
+def test_option_forms(capsys):
+    # --opt=value, negative values, int() parsing and the last repeat winning
+    code, out, _ = run_capture(capsys, "--quiet", "series", "--which=thm2", "--k", "9",
+                               "--a", "-4", "--k=2", "--terms", " 0_5 ")
+    assert code == 0
+    assert out == run_capture(capsys, "--quiet", "series", "--which", "thm2", "--k", "2",
+                              "--a=-4", "--terms", "5")[1]
+
+
+def test_help_names_every_command_and_option(capsys):
+    for argv in (("--help",), ("-h",), ("--format", "json", "-h")):
+        code, out, err = run_capture(capsys, *argv)
+        assert code == 0 and err == "" and out.startswith("usage: kfib [-h]")
+        for command, table in cli.OPTIONS.items():
+            assert command is None or f" {command}" in out
+            assert all(f"--{name}" in out for name in table)
+    for command, table in cli.OPTIONS.items():
+        if command is not None:
+            code, out, err = run_capture(capsys, command, "--help")
+            assert code == 0 and err == "" and out.startswith(f"usage: kfib {command} [-h]")
+            assert out.count("\n") == 1 and all(f"--{name}" in out for name in table)
 
 
 def test_json_records_schema(capsys):
@@ -248,38 +304,48 @@ def test_failed_certificate_exit_code(capsys, monkeypatch):
 #: the directory holding the kfib package, for child interpreters
 SRC = str(Path(kfib.__file__).resolve().parents[1])
 
+#: standard-library modules the probe watches besides the package's own
+WATCHED = ("argparse", "gettext", "locale", "json", "dataclasses", "fractions", "decimal")
+
 #: prints [exit code, modules after ``import kfib.cli``, modules after the run]
-IMPORT_PROBE = """
-import json, sys
+#: by repr, so that the probe itself imports no watched module
+IMPORT_PROBE = f"""
+import sys
 import kfib.cli
 
 def loaded():
-    return sorted(m for m in sys.modules if m.startswith("kfib") or m == "dataclasses")
+    return sorted(m for m in sys.modules if m.startswith("kfib") or m in {WATCHED!r})
 
 imported = loaded()
 code = kfib.cli.run(sys.argv[1:])
-print(json.dumps([code, imported, loaded()]))
+print(repr([code, imported, loaded()]))
 """
 
-#: argv -> kfib modules the command must not load
+#: no command loads an argument parser, a JSON encoder or dataclasses
+NEVER = {"argparse", "gettext", "locale", "json", "dataclasses"}
+#: the rational types load only where a value needs one
+RATIONALS = {"fractions", "decimal"}
+#: the root, the balls, the series and their rendering
+ANALYTIC = {"kfib.certified", "kfib.dominant_root", "kfib.series", "kfib.render"}
+
+#: argv -> modules the command must not load, besides NEVER
 NOT_LOADED = {
     ("fib", "--k", "3", "--n", "9"): {
-        "kfib.closed_forms", "kfib.binomial", "kfib.dyadic", "kfib.certified",
-        "kfib.dominant_root", "kfib.series", "kfib.verify"},
-    ("fib", "--k", "3", "--n", "9", "--method", "all"): {
-        "kfib.certified", "kfib.dominant_root", "kfib.series", "kfib.verify"},
-    ("rho", "--k", "2", "--epsilon"): {"kfib.series", "kfib.verify"},
-    ("asymptotic", "--k", "3", "--n", "100", "--ratio"): {"kfib.series", "kfib.verify"},
+        "kfib.closed_forms", "kfib.binomial", "kfib.dyadic", "kfib.verify", *ANALYTIC,
+        *RATIONALS},
+    **{("fib", "--k", "3", "--n", "9", "--method", method): {
+        "kfib.dyadic", "kfib.verify", *ANALYTIC, *RATIONALS}
+       for method in (*cli.FIB_ENGINES, "all")},
+    ("rho", "--k", "2", "--epsilon"): {"kfib.series", "kfib.verify", "kfib.dyadic"},
+    ("asymptotic", "--k", "3", "--n", "100", "--ratio"): {
+        "kfib.series", "kfib.verify", "kfib.dyadic"},
     ("series", "--which", "thm1", "--k", "2", "--n", "1"): {
-        "kfib.certified", "kfib.dominant_root", "kfib.verify"},
+        "kfib.certified", "kfib.dominant_root", "kfib.verify", "kfib.dyadic"},
     ("series", "--which", "thm2", "--k", "3", "--a", "-2", "--terms", "40"): {
-        "kfib.certified", "kfib.dominant_root", "kfib.verify"},
-    ("verify", "--suite", "engines"): {
-        "kfib.certified", "kfib.dominant_root", "kfib.series"},
-    ("verify", "--suite", "identities"): {
-        "kfib.certified", "kfib.dominant_root", "kfib.series"},
-    ("verify", "--suite", "erratum"): {
-        "kfib.certified", "kfib.dominant_root", "kfib.series"},
+        "kfib.certified", "kfib.dominant_root", "kfib.verify", "kfib.dyadic"},
+    ("verify", "--suite", "engines"): {"kfib.dyadic", *ANALYTIC, *RATIONALS},
+    ("verify", "--suite", "identities"): {"kfib.dyadic", *ANALYTIC, *RATIONALS},
+    ("verify", "--suite", "erratum"): ANALYTIC,
 }
 
 
@@ -290,7 +356,7 @@ def _child_env() -> dict[str, str]:
 def _modules_loaded(argv) -> tuple[int, list[str], list[str]]:
     proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv], env=_child_env(),
                           capture_output=True, text=True, timeout=60, check=True)
-    return tuple(json.loads(proc.stdout.splitlines()[-1]))
+    return tuple(ast.literal_eval(proc.stdout.splitlines()[-1]))
 
 
 @pytest.mark.parametrize("argv", sorted(NOT_LOADED), ids=" ".join)
@@ -298,8 +364,23 @@ def test_command_loads_only_its_layers(argv):
     code, imported, after = _modules_loaded(argv)
     assert code == 0
     assert imported == ["kfib", "kfib.cli", "kfib.errors"]
-    assert not NOT_LOADED[argv] & set(after)
-    assert "dataclasses" not in after
+    assert not (NOT_LOADED[argv] | NEVER) & set(after)
+    if argv[-1] == "erratum":  # the probe sees what a command loads
+        assert {"kfib.dyadic", "fractions"} <= set(after)
+
+
+def test_only_the_erroneous_variant_loads_dyadic():
+    probe = """
+import sys
+from kfib.closed_forms import kfib_ordinary, kfib_ordinary_erroneous
+kfib_ordinary(5, 30)
+before = "kfib.dyadic" in sys.modules
+kfib_ordinary_erroneous(5, 7)
+print(repr([before, "kfib.dyadic" in sys.modules]))
+"""
+    proc = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert ast.literal_eval(proc.stdout) == [False, True]
 
 
 def test_handlers_call_the_module_globals(capsys, monkeypatch):
@@ -407,6 +488,16 @@ def test_certified_output_pinned(capsys, argv):
 # -- integer rendering against the Fraction loops it replaced --------------
 
 
+def _fraction_decimal_round(x, digits):
+    scaled = round(x * 10**digits)
+    sign = "-" if scaled < 0 else ""
+    body = str(abs(scaled))
+    if digits == 0:
+        return sign + body
+    body = body.rjust(digits + 1, "0")
+    return f"{sign}{body[:-digits]}.{body[-digits:]}"
+
+
 def _digits_for_loop(bound, cap=400):
     d = 0
     while d < cap and Fraction(1, 10**d) > bound:
@@ -428,7 +519,7 @@ def _bound_decimal_loop(x):
     if mant_tenths >= 100:
         mant_tenths = 10
         e += 1
-    return f"{cli._fraction_decimal(Fraction(mant_tenths, 10), 1)}e{e:+03d}"
+    return f"{_fraction_decimal_round(Fraction(mant_tenths, 10), 1)}e{e:+03d}"
 
 
 _POSITIVE = st.one_of(
@@ -446,22 +537,29 @@ _POSITIVE = st.one_of(
 )
 
 
-@given(_POSITIVE)
+@given(_POSITIVE, st.integers(0, 60), st.booleans())
 @settings(max_examples=400, deadline=None)
-def test_integer_rendering_matches_fraction_loops(x):
-    assert cli._digits_for(x) == _digits_for_loop(x)
-    assert cli._digits_for(x, cap=7) == _digits_for_loop(x, cap=7)
-    assert cli._bound_decimal(x) == _bound_decimal_loop(x)
+def test_integer_rendering_matches_fraction_loops(x, digits, negate):
+    assert render.digits_for(x) == _digits_for_loop(x)
+    assert render.digits_for(x, cap=7) == _digits_for_loop(x, cap=7)
+    assert render.bound_decimal(x.numerator, x.denominator) == _bound_decimal_loop(x)
+    value = -x if negate else x
+    assert render.approx(value, x, digits) == (
+        _fraction_decimal_round(value, digits),
+        _bound_decimal_loop(x + Fraction(1, 2 * 10**digits)))
 
 
 def test_integer_rendering_edge_values():
     for x in (Fraction(1), Fraction(10), Fraction(1, 10), Fraction(10) ** -400,
               Fraction(10) ** -401, Fraction(99, 10), Fraction(991, 100),
               Fraction(9901, 1000), Fraction(1, 3), Fraction(10**500 + 1, 10**100)):
-        assert cli._digits_for(x) == _digits_for_loop(x), x
-        assert cli._bound_decimal(x) == _bound_decimal_loop(x), x
-    assert cli._bound_decimal(Fraction(9901, 1000)) == "1.0e+01"
-    assert cli._digits_for(Fraction(0)) == _digits_for_loop(Fraction(0)) == 400
+        assert render.digits_for(x) == _digits_for_loop(x), x
+        assert render.bound_decimal(x.numerator, x.denominator) == _bound_decimal_loop(x), x
+    assert render.bound_decimal(9901, 1000) == "1.0e+01"
+    assert render.digits_for(Fraction(0)) == _digits_for_loop(Fraction(0)) == 400
+    for n, m, digits in ((5, 2, 0), (7, 2, 0), (-5, 2, 0), (1, 8, 2), (3, 8, 2), (-3, 8, 2)):
+        # exact ties round half to even, as Fraction's round() does
+        assert render.fixed(n, m, digits) == _fraction_decimal_round(Fraction(n, m), digits)
 
 
 # -- verify refuses ranges in which a suite would check nothing -------------
@@ -484,3 +582,233 @@ def test_verify_smallest_ranges_check_something(capsys):
         code, out, _ = run_capture(capsys, "verify", "--suite", suite, "--k-max", "2",
                                    "--n-max", n_max)
         assert code == 0 and " 0 cells" not in out, suite
+
+
+# -- the option table against the argparse parser it replaced ---------------
+
+FIB_METHODS = (*cli.FIB_ENGINES, "all")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of the command line before the option table."""
+    p = argparse.ArgumentParser(
+        prog="kfib",
+        description="Exact k-step Fibonacci numbers, binomial-sum identities, "
+                    "and certified dominant-root computations.",
+    )
+    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    p.add_argument("--quiet", action="store_true",
+                   help="text format: print bare values / failures only")
+    p.add_argument("--timing", action="store_true",
+                   help="report elapsed time on stderr")
+    sub = p.add_subparsers(dest="command", required=True)
+
+    fib = sub.add_parser("fib", help="compute F[n] for the k-step sequence")
+    fib.add_argument("--k", type=int, required=True)
+    fib.add_argument("--n", type=int, required=True)
+    fib.add_argument("--method", choices=FIB_METHODS, default="recurrence")
+
+    root = sub.add_parser("rho", help="certified dominant root (or its gap to 2)")
+    root.add_argument("--k", type=int, required=True)
+    root.add_argument("--bits", type=int, default=64)
+    root.add_argument("--epsilon", action="store_true",
+                      help="print the gap 2 - rho instead of rho")
+
+    ser = sub.add_parser("series", help="binomial-series partial sums with tail bounds")
+    ser.add_argument("--which", choices=("thm1", "thm2", "thm3"), required=True)
+    ser.add_argument("--k", type=int, required=True)
+    ser.add_argument("--n", type=int)
+    ser.add_argument("--a", type=int)
+    ser.add_argument("--terms", type=int)
+    ser.add_argument("--tol", type=str)
+
+    asym = sub.add_parser("asymptotic", help="dominant-term value or F[n]/approximation ratio")
+    asym.add_argument("--k", type=int, required=True)
+    asym.add_argument("--n", type=int, required=True)
+    asym.add_argument("--bits", type=int, default=64)
+    asym.add_argument("--ratio", action="store_true")
+
+    ver = sub.add_parser("verify", help="run cross-engine verification sweeps")
+    ver.add_argument("--suite", choices=cli.SUITES + ("all",), default="all")
+    ver.add_argument("--k-max", type=int, default=6)
+    ver.add_argument("--n-max", type=int, default=200)
+    return p
+
+
+#: values that are not ints or choices: words, decimals, negative decimals,
+#: '-' alone, tokens with spaces, underscores and non-ASCII digits
+_ODD_VALUES = ("x", "", "1e-5", "-1e-5", "1.5", "-1.5", "-.5", "-1.", "-", "1 2", "-3 ",
+               " 7", "1_000", "1__0", "\u0663", "-\u0663", "+4", "json", "thm2", "all")
+_ALL_NAMES = sorted({name for table in cli.OPTIONS.values() for name in table} | {"bogus"})
+
+
+@st.composite
+def _option_tokens(draw, table):
+    """Tokens for a run of options: the table's required ones and a few more,
+    mostly with values of their kind, and now and then any name, an odd
+    value, a missing value or a stray token."""
+    required = [name for name, spec in table.items() if spec[2] is ...]
+    extra = draw(st.lists(st.sampled_from(sorted(table) or _ALL_NAMES), max_size=3))
+    tokens = []
+    for name in draw(st.permutations(required + extra)):
+        if draw(st.integers(0, 19)) == 0:
+            name = draw(st.sampled_from(_ALL_NAMES))
+        kind, choices, _ = table.get(name, (int, None, None))
+        value = draw(st.sampled_from(_ODD_VALUES) if draw(st.integers(0, 9)) == 0
+                     else st.sampled_from(choices) if choices
+                     else st.integers(-500, 500).map(str))
+        form = draw(st.integers(0, 19))
+        if form == 0:
+            tokens.append(value)  # a stray value
+        elif form == 1 or kind is bool and form < 19:
+            tokens.append(f"--{name}")
+        elif form < 8:
+            tokens.append(f"--{name}={value}")
+        else:
+            tokens += [f"--{name}", value]
+    return tokens
+
+
+def _abbreviates(tokens, table) -> bool:
+    """Whether argparse could read one of the tokens as an abbreviated option."""
+    names = [*table, "help"]
+    for token in tokens:
+        name = token[2:].partition("=")[0]
+        if token.startswith("--") and name not in names and any(
+                n.startswith(name) for n in names):
+            return True
+    return False
+
+
+@given(st.data())
+@settings(max_examples=600, deadline=None)
+def test_option_table_parses_like_argparse(data):
+    command = data.draw(st.sampled_from([*filter(None, cli.OPTIONS), "nonsense", None]))
+    head = data.draw(_option_tokens(cli.OPTIONS[None]))
+    tail = data.draw(_option_tokens(cli.OPTIONS.get(command, {})))
+    assume(not _abbreviates(head, cli.OPTIONS[None]))
+    assume(not _abbreviates(tail, cli.OPTIONS.get(command) or {}))
+    argv = [*head, *([command] if command else []), *tail]
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            expected = vars(build_parser().parse_args(argv))
+    except SystemExit as exc:
+        assert exc.code == 2
+        expected = None
+    event("argparse accepts" if expected else "argparse refuses")
+    try:
+        command, opts = cli._parse(argv)
+    except cli.UsageError:
+        assert expected is None, argv
+        return
+    assert expected == {"command": command,
+                        **{name.replace("-", "_"): v for name, v in opts.items()}}, argv
+
+
+# -- the JSON writer against json.dumps --------------------------------------
+
+_TEXT = st.one_of(
+    st.text(max_size=12),
+    st.text(st.characters(min_codepoint=0, max_codepoint=0x9F), max_size=12),
+    st.sampled_from(["\x7f", "\x00\x1f", '"\\/', "\b\f\n\r\t", "\u2028\u00e9",
+                     "\U0001F600", "\U0010FFFF", "\ud800", "\udfff\ud83d"]))
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | _TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=24)
+
+
+@given(_JSON)
+@example(["\x7f", "\U0001F600"])
+@example({"\x00\x1f": ["\u00e9", "plain"], "": [[], {}, [{}]]})
+@settings(max_examples=400, deadline=None)
+def test_json_writer_matches_json_dumps(x):
+    assert cli._json(x) == json.dumps(x, indent=2)
+
+
+# -- stdout pinned across the rewrite of the parser and the writer ----------
+
+#: argv -> sha256 of stdout as printed when argparse read the command line
+#: and the json module wrote the records
+GOLDEN_STDOUT = {
+    "fib --k 3 --n 9": "b76baf6af34cdba21310e1496213a587d3090039337427575190c8d754e3efba",
+    "--format json fib --k 3 --n 9 --method all": "7f41cf8bf731ae256f8a9cb09dfdc4eeb89110e7bfba3d15082bab407639b846",
+    "--format csv fib --k 3 --n 40 --method all": "b8787ed9b8c88f2af059b845218061bd0db2618d4c4494d7a54fac378e7d7b6a",
+    "--quiet fib --k 2 --n 100": "e6918f3499d94558fbf906814e4bcb3ea1368494fae732edeb54745ac17e40b4",
+    "--format json fib --k 8 --n 2000 --method binomial": "8234eff86a89054ea46f34cafd6900c0cb90dbc047ea17583f8dbe0247d96961",
+    "fib --k 5 --n 3 --method all": "896613fab67fb71c287a03f47e9ccdae8733b0064a995adf029c2593417f26e8",
+    "--format csv fib --k 3 --n 5000 --method ordinary-alt": "a646359d5012e80c74a21f5c6c79935dbd4e2380a68bfb21c30d5a169b194001",
+    "--format json fib --k 3 --n 20000 --method recurrence-k1": "b2f3fe990f6600fe52f9880ae95ee9e807db1def4f035daf55d17101dc1e20f5",
+    "--timing --format=json fib --k=3 --n=9 --method=ordinary": "204d7337ebca776c940bd8110f9adc2c79793991c1903c4be9343a3256903cd2",
+    "rho --k 2 --bits 64": "ca4bf1f9d6aacd35d55bfc1295283d4bc778269b53764edfd03e425a165de960",
+    "--format json rho --k 5 --bits 256 --epsilon": "2a1165e658cfed55711980255d017e4f7eea90e2fa2ffa07adf9c5143361ff11",
+    "--format csv rho --k 3 --bits 128": "a69792aa6bcea0b42381db4c9388e429a847469e5ad94f5ae549a4d594ea9d76",
+    "--quiet rho --k 2 --bits 2048": "0949ba5ecf5c6da6ee5a8b8e9092412fb0f8e2b8fc35b3bd2035fed478ef8fcf",
+    "series --which thm1 --k 2 --n 1 --tol 1e-12": "ef7fcf2f4fdc6124d94692541fce635d7ac6c3ab44be4c06c04c42f63d62f33e",
+    "--format json series --which thm2 --k 3 --a -30 --tol 1e-12": "986a897cc96ace0b329e09df784678b9245f414d7ec09eea53680926dbd56ebd",
+    "--format csv series --which thm3 --k 3 --n 100 --tol 1e-12": "1eba559697e7ce650162d201ede5e1f39f5530d4a0982f8b77de2e817aa7bdb4",
+    "--format json series --which thm1 --k 2 --n 3 --terms 10": "b4ddf3ca23b8386f3e3613405968bbd810eaf78d2564d73c08c2d090ac785352",
+    "--quiet series --which thm2 --k 2 --a -4 --terms 5": "86b07afd49d9f06461968d3fafc6b2df95cac46360cfb9cddae79696d18f3bd3",
+    "--format json series --which thm1 --k 2 --n 1 --tol 4e-150": "8a3752ec49c8b8ff241922773112d1cff86b4190fabd2610da8e5aee6acd330f",
+    "asymptotic --k 2 --n 10 --bits 40": "30ed77e03c42cbc3aaf2c509efe919b411f44291687306624b9c9b960e9dff88",
+    "--format json asymptotic --k 3 --n 100 --bits 64 --ratio": "e3cf94bfc9824be2abddc85b6d8237721973af087a3456f68d950610849ac9d1",
+    "--format csv asymptotic --k 4 --n 50 --bits 96": "3f50c4180092eeca4f0ad0ac3c27638c6617d2f1a670e11c16165f9344184c30",
+    "--quiet asymptotic --k 3 --n 200 --ratio": "59458f5358f8d31996e74de30ff43d1e589c7dcbc182372d1944194c382a3108",
+    "verify --suite erratum --k-max 5 --n-max 30": "611ef12c25c6bd228e5bc381886656e89ae7f0ce3a5d682d4c1abddcef0e9613",
+    "--format json verify --suite erratum --k-max 5 --n-max 30": "88d95903929247ca87dd505229044ac8d452d033b69ac42f25774b040d491325",
+    "--format csv verify --suite engines --k-max 4 --n-max 40": "50660e9e29169bb5abea6c0951ee78c60d3e5d2b173c98e4835d0fc610100241",
+    "--quiet verify --suite erratum --k-max 6 --n-max 40": "9e80c134fe29f0ab85e637915c415a18b2cf6286d434c863fe280d40c314e72c",
+    "--format json verify --suite identities --k-max 3 --n-max 30": "7f8765a36b9f5c4d3ca48129496838938677bfaa49f0a01b86e9b9ce18603f7a",
+    "--format json verify --suite series --k-max 3 --n-max 10": "67a2ee946f340d6f0d1aa41ba3ddae00407b6b56080ca13690023adbdc0a1336",
+    "verify --k-max 3 --n-max 20": "caee374605f7ec5471df44fdea0cf0e6035cac68cc891477e055ba0cf29c0370",
+}
+
+
+@pytest.mark.parametrize("line", sorted(GOLDEN_STDOUT))
+def test_stdout_golden(capsys, line):
+    code, out, _ = run_capture(capsys, *line.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[line]
+
+
+# -- series --tol is bounded before it is built -----------------------------
+
+
+@pytest.mark.parametrize("tol", ["1e999999999", "1E-999999999", "1e-3000", "1e-401",
+                                 "0.9e-400", "1.1e400", "10000e397", "1" + "0" * 401])
+def test_series_tol_out_of_range_exits_3_fast(capsys, tol):
+    started = time.perf_counter()
+    code, out, err = run_capture(capsys, "series", "--which", "thm1", "--k", "2", "--n", "1",
+                                 "--tol", tol)
+    assert time.perf_counter() - started < 1
+    assert code == 3 and out == ""
+    assert err.startswith("domain error: --tol must lie in") and err.count("\n") == 1
+
+
+def test_tol_reads_what_fraction_reads():
+    for text in ("1e-400", "1e400", "0.0001e-396", "1000e397", "4e-150", " 1_0E-1_0 ",
+                 "+.5e-3", "1.e5", "1e\u0663", "3/7", "1e5 ", "1" + "0" * 400):
+        assert cli._tol(text) == Fraction(text), text
+    for text in ("1e 5", "1/3e5", "e5", "1e", ".e5", "inf", "nan", "1/0", "", "1e-5x"):
+        with pytest.raises((ValueError, ZeroDivisionError)):
+            Fraction(text)
+        with pytest.raises(cli.UsageError):
+            cli._tol(text)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="CPython < 3.11 has no int-to-str digit limit")
+def test_integers_past_the_digit_limit_print_in_full(capsys):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        # F[3100] has 648 digits: verify prints it, and the limit comes back
+        code, out, err = run_capture(capsys, "--format", "csv", "verify", "--suite", "engines",
+                                     "--k-max", "2", "--n-max", "3100")
+        assert code == 0 and err == "" and sys.get_int_max_str_digits() == 640
+        assert max(len(line) for line in out.splitlines()) > 1290
+        # an int option past the limit stays a usage error
+        code, _, err = run_capture(capsys, "fib", "--k", "2", "--n", "1" * 700)
+        assert code == 2 and "not an integer" in err
+    finally:
+        sys.set_int_max_str_digits(limit)

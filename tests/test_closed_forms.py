@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from kfib import binomial, closed_forms
 from kfib.binomial import binom
 from kfib.closed_forms import (
+    _exact_int,
     _ordinary_sum,
-    fib_binomial,
     kfib_binomial,
     kfib_binomial_shifted,
     kfib_ordinary,
@@ -53,18 +53,16 @@ def test_binomial_form_known_values():
     assert kfib_binomial(3, 6) == 7
     assert kfib_binomial(2, 5) == 5  # hand evaluation: 8 * (1 - 3/8)
     assert kfib_binomial(4, 4) == 1
+    # the classical Fibonacci numbers, a sum over nonpositive powers of 8
+    assert kfib_binomial(2, 2) == 1
+    assert kfib_binomial(2, 4) == 3  # hand evaluation: 4 * (1 - 2/8)
+    assert kfib_binomial(2, 10) == 55
 
 
 def test_binomial_form_equals_shifted_sum():
     for k in range(2, 7):
         for n in range(k, 90):
             assert kfib_binomial(k, n) == kfib_binomial_shifted(k, n - k + 2)
-
-
-def test_fib_binomial_known_values():
-    assert fib_binomial(2) == 1
-    assert fib_binomial(4) == 3  # hand evaluation: 4 * (1 - 2/8)
-    assert fib_binomial(10) == 55
 
 
 def test_ordinary_known_values():
@@ -90,8 +88,8 @@ def test_excluded_index_would_be_value():
     # equal F[2k-1]; the exclusion guards the identity's derivation, not a
     # numeric failure at this index
     for k in range(2, 9):
-        would_be = _ordinary_sum(k, 2 * k - 1)
-        assert would_be == Dyadic(2 ** (k - 1))
+        would_be = _exact_int(*_ordinary_sum(k, 2 * k - 1))
+        assert would_be == 2 ** (k - 1)
         assert would_be == kfib_table(k, 2 * k - 1)[2 * k - 1]
 
 
@@ -105,7 +103,7 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         kfib_ordinary_erroneous(5, 4)
     with pytest.raises(DomainError):
-        fib_binomial(1)
+        kfib_binomial(2, 1)
     with pytest.raises(DomainError):
         kfib_binomial_shifted(2, 1)
 

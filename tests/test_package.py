@@ -9,7 +9,6 @@ import pytest
 import kfib
 from kfib.certified import CertifiedReal
 from kfib.cli import OutputRecord
-from kfib.core import FibTable
 from kfib.series import SeriesPartialSum
 from kfib.verify import VerifyCell, VerifyReport
 
@@ -70,8 +69,6 @@ def test_records_keep_fields_and_positional_construction():
             value.extra = 1
     with pytest.raises(AttributeError):
         p.value = Fraction(0)
-    table = FibTable(2, (0, 1, 1, 2))
-    assert (table.k, table.values, table[3], len(table)) == (2, (0, 1, 1, 2), 2, 4)
 
 
 def test_no_assert_statements_in_the_package():
