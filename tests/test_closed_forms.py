@@ -53,6 +53,9 @@ def test_binomial_form_known_values():
     assert kfib_binomial(3, 6) == 7
     assert kfib_binomial(2, 5) == 5  # hand evaluation: 8 * (1 - 3/8)
     assert kfib_binomial(4, 4) == 1
+
+
+def test_fib_binomial_known_values():
     # the classical Fibonacci numbers, a sum over nonpositive powers of 8
     assert kfib_binomial(2, 2) == 1
     assert kfib_binomial(2, 4) == 3  # hand evaluation: 4 * (1 - 2/8)
