@@ -1,9 +1,11 @@
 """Independent reference computations used only by the test suite.
 
-Nothing here shares code paths with the package: factorials are computed
-by a local loop, the golden ratio comes from an integer square root, and
-dominant roots come from sign-change bisection on the degree-(k+1)
-polynomial or from mpmath's bracketing root finder at twice the precision.
+Nothing here shares code paths with the package, and nothing imports it:
+k-step Fibonacci numbers come from stepping a plain list, factorials are
+computed by a local loop, the golden ratio comes from an integer square
+root, and dominant roots come from sign-change bisection on the
+degree-(k+1) polynomial or from mpmath's bracketing root finder at twice
+the precision.
 Each oracle returns exact rationals with explicit error intervals so
 comparisons against certified package output stay rigorous; the mpmath
 intervals are an allowance of 2**8 units in the last place of the working
@@ -69,6 +71,19 @@ def bisect_dominant_root(k: int, iters: int = 300) -> tuple[Fraction, Fraction]:
         else:
             return mid, Fraction(0)
     return (lo + hi) / 2, (hi - lo) / 2
+
+
+def kfib_stepping(k: int, n: int, modulus: int = 0) -> int:
+    """F[n] of the k-step sequence (k-1 zeros, then a one) by stepping a
+    plain list of the last k terms, each reduced modulo ``modulus`` if it is
+    nonzero."""
+    window = [0] * (k - 1) + [1]  # F[0..k-1]
+    if n < k:
+        return window[n]
+    for _ in range(n - k + 1):
+        nxt = sum(window)
+        window = window[1:] + [nxt % modulus if modulus else nxt]
+    return window[-1]
 
 
 def fib_pair(n: int) -> tuple[int, int]:

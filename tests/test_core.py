@@ -1,10 +1,13 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import kfib_stepping
 
 import kfib
+from kfib import core
 from kfib.core import (
     count_compositions,
     kfib_order_k,
@@ -58,6 +61,88 @@ def test_engines_agree():
         table = kfib_table(k, 400)
         for n in range(401):
             assert kfib_order_k1(k, n) == table[n], (k, n)
+
+
+def test_engines_match_stepping_oracle():
+    for k in range(2, 31):
+        for n in range(401):
+            expected = kfib_stepping(k, n)
+            assert kfib_order_k(k, n) == expected, (k, n)
+            assert kfib_order_k1(k, n) == expected, (k, n)
+
+
+@pytest.mark.parametrize("route", [True, False], ids=["power", "step"])
+def test_each_route_matches_oracle(monkeypatch, route):
+    # forced, so that neither route loses coverage wherever the rule moves
+    monkeypatch.setattr(core, "_powers", lambda k, n: route)
+    for k in range(2, 13):
+        for n in range(301):
+            expected = kfib_stepping(k, n)
+            assert kfib_order_k(k, n) == expected, (k, n)
+            assert kfib_order_k1(k, n) == expected, (k, n)
+
+
+def test_rule_routes_only_large_n_to_powering(monkeypatch):
+    calls = []
+    power_mod = core._power_mod
+    monkeypatch.setattr(core, "_power_mod",
+                        lambda taps, n: calls.append((len(taps), n)) or power_mod(taps, n))
+    kfib_order_k(3, 4096)
+    kfib_order_k1(3, 4096)
+    assert calls == [(3, 4096), (4, 4096)]
+    for k, n in ((3, 100), (40, 4096), (100, 10**4)):
+        kfib_order_k(k, n)
+        kfib_order_k1(k, n)
+    assert len(calls) == 2
+
+
+def _first_powered_n(k: int) -> int:
+    """The least n at which ``_powers(k, n)`` holds (it is monotone in n)."""
+    lo, hi = 0, 1
+    while not core._powers(k, hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if core._powers(k, mid) else (mid, hi)
+    return hi
+
+
+MERSENNE_61 = 2**61 - 1
+
+
+@pytest.mark.parametrize("k", range(3, 25))
+def test_engines_at_the_rule_boundary(k):
+    n0 = _first_powered_n(k)
+    assert not core._powers(k, n0 - 1)
+    for n in (n0 - 1, n0):
+        expected = kfib_stepping(k, n, MERSENNE_61)
+        assert kfib_order_k(k, n) % MERSENNE_61 == expected, (k, n)
+        assert kfib_order_k1(k, n) % MERSENNE_61 == expected, (k, n)
+
+
+def test_millionth_tribonacci_number():
+    expected = kfib_stepping(3, 10**6, MERSENNE_61)
+    assert kfib_order_k(3, 10**6) % MERSENNE_61 == expected
+    assert kfib_order_k1(3, 10**6) % MERSENNE_61 == expected
+
+
+def test_engines_agree_at_benchmark_sizes():
+    for k in (3, 8):
+        for n in range(65536, 65540):
+            assert kfib_order_k(k, n) == kfib_order_k1(k, n), (k, n)
+
+
+@pytest.mark.parametrize("fn", [kfib_order_k, kfib_order_k1, kfib_table])
+def test_large_k_small_n_allocates_little(fn):
+    # the seeds F[0..5] are all zero at k = 10**7; no k-slot window is built
+    tracemalloc.start()
+    try:
+        value = fn(10**7, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == ((0,) * 6 if fn is kfib_table else 0)
+    assert peak < 2**20, peak
 
 
 def test_doubling_segment():
