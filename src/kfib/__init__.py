@@ -27,9 +27,7 @@ _EXPORTS = {
     "dyadic": ("Dyadic",),
     "errors": ("CertificationError", "DomainError", "IntegralityError", "OracleCapError"),
     "series": ("SeriesPartialSum", "adaptive_partial", "asymptotic_series",
-               "asymptotic_series_partial", "hermite_series", "hermite_sum_partial",
-               "rho_power_partial", "rho_power_series", "rho_power_via_series",
-               "term_ratio_limit"),
+               "hermite_series", "rho_power_series", "term_ratio_limit"),
     "verify": ("VerifyCell", "VerifyReport", "run_suites"),
 }
 

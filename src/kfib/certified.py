@@ -90,10 +90,10 @@ class CertifiedReal:
     def contains(self, value) -> bool:
         return self.lo <= _frac(value) <= self.hi
 
-    def agrees_with(self, other: "CertifiedReal", slack=0) -> bool:
+    def agrees_with(self, other: "CertifiedReal") -> bool:
         """True when the two certified values are compatible: the gap
-        between approximations is within the combined bounds plus slack."""
-        return abs(self.approx - other.approx) <= self.err + other.err + _frac(slack)
+        between approximations is within the combined bounds."""
+        return abs(self.approx - other.approx) <= self.err + other.err
 
     # -- rounding ------------------------------------------------------
 

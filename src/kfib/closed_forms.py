@@ -23,8 +23,7 @@ from collections.abc import Iterable, Iterator
 from itertools import chain
 
 from .binomial import binom, binom_row
-from .core import check_k
-from .errors import DomainError, IntegralityError
+from .errors import DomainError, IntegralityError, check_k
 
 TYPE_CHECKING = False  # true for type checkers; importing typing costs start-up time
 if TYPE_CHECKING:

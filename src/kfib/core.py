@@ -8,23 +8,23 @@ its own characteristic polynomial by binary powering (C. M. Fiduccia, SIAM
 J. Comput. 14, 1985), O(k**2 M(n) log n) bit operations, where ``_powers``
 finds that cheaper than stepping: for n >= 256 and 64*n >= k**5.  Otherwise
 it steps a window of the last k (or k+1) terms, O(n**2) bit operations.
-``kfib_table`` always steps.  A brute-force composition counter provides an
-oracle that shares nothing with either recurrence.
+Both windows start at F[k-1]: the terms before it are zero seeds, which
+need no slot and add nothing to a sum, so a window holds at most
+min(n-k+2, k+1) values however large k is.  ``kfib_table`` takes its terms
+from the same order-k stepping as ``kfib_order_k``.  A brute-force
+composition counter provides an oracle that shares nothing with either
+recurrence.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator
+from itertools import islice, repeat
 
-from .errors import DomainError, OracleCapError
+from .errors import DomainError, OracleCapError, check_k
 
 ORACLE_CAP = 25
-
-
-def check_k(k: int) -> int:
-    if type(k) is not int or k < 2:
-        raise DomainError(f"sequence order k must be an integer >= 2, got {k!r}")
-    return k
 
 
 def _check_n(n: int) -> int:
@@ -76,28 +76,40 @@ def _power_mod(taps: list[int], n: int) -> list[int]:
     return poly + [0] * (d - len(poly))
 
 
+def _order_k_terms(k: int) -> Iterator[int]:
+    """F[0], F[1], ... by the order-k rule F[m+k] = F[m] + ... + F[m+k-1].
+
+    The window holds the last k terms from F[k-1] on, and ``total`` their
+    sum, the next term: a term older than F[k-1] is a zero seed, so it
+    neither needs a slot nor changes the sum when it leaves the window.
+    """
+    yield from repeat(0, k - 1)
+    yield 1
+    window = deque([1])  # F[k-1..m], at most k of them
+    total = 1  # their sum, F[m+1]
+    zeros = k - 1  # steps in which the term leaving the window is a zero seed
+    while True:
+        yield total
+        window.append(total)
+        total += total
+        if zeros:
+            zeros -= 1
+        else:
+            total -= window.popleft()
+
+
 def kfib_order_k(k: int, n: int) -> int:
     """F[n] via the order-k rule F[m+k] = F[m] + ... + F[m+k-1].
 
     Powers x**n modulo x**k - x**(k-1) - ... - 1, whose coefficient of
     x**(k-1) is F[n] (the seeds F[0..k-1] are zero but for F[k-1] = 1),
-    where ``_powers`` says so; otherwise slides a k-term window sum.
+    where ``_powers`` says so; otherwise takes term n of the stepping.
     """
     check_k(k)
     _check_n(n)
-    if n < k - 1:
-        return 0
-    if n == k - 1:
-        return 1
     if _powers(k, n):
         return _power_mod([1] * k, n)[k - 1]
-    window = deque([0] * (k - 1) + [1], maxlen=k)
-    total = 1  # sum of the current window
-    for _ in range(n - k + 1):
-        nxt = total
-        total += nxt - window[0]
-        window.append(nxt)
-    return window[-1]
+    return next(islice(_order_k_terms(k), n, None))
 
 
 def kfib_order_k1(k: int, n: int) -> int:
@@ -106,8 +118,8 @@ def kfib_order_k1(k: int, n: int) -> int:
     Seeded with F[0..k]: all zero except F[k-1] = F[k] = 1 (the value of
     F[k] follows from one step of the order-k rule).  Where ``_powers``
     says so, powers x**n modulo x**(k+1) - 2*x**k + 1 and dots it with the
-    seeds; otherwise steps a (k+1)-slot window, so memory stays O(k)
-    values rather than O(n).
+    seeds; otherwise steps a window of at most k+1 terms from F[k-1] on,
+    taking F[m] as zero while it lies before them.
     """
     check_k(k)
     _check_n(n)
@@ -116,22 +128,23 @@ def kfib_order_k1(k: int, n: int) -> int:
     if _powers(k, n):
         c = _power_mod([-1] + [0] * (k - 1) + [2], n)
         return c[k - 1] + c[k]
-    window = deque([0] * (k - 1) + [1, 1], maxlen=k + 1)  # F[m..m+k]
+    window = deque([1, 1])  # F[k-1..m+k]
+    zeros = k - 1  # steps in which F[m] is a zero seed
     for _ in range(n - k):
-        window.append(2 * window[-1] - window[0])
+        if zeros:
+            zeros -= 1
+            oldest = 0
+        else:
+            oldest = window.popleft()
+        window.append(2 * window[-1] - oldest)
     return window[-1]
 
 
 def kfib_table(k: int, n_max: int) -> tuple[int, ...]:
-    """The tuple F[0..n_max], in one pass of the order-k rule."""
+    """The tuple F[0..n_max], the first n_max + 1 terms of the order-k stepping."""
     check_k(k)
     _check_n(n_max)
-    values = [0] * min(k - 1, n_max + 1)
-    if len(values) <= n_max:
-        values.append(1)
-    while len(values) <= n_max:
-        values.append(sum(values[-k:]))
-    return tuple(values)
+    return tuple(islice(_order_k_terms(k), n_max + 1))
 
 
 def count_compositions(k: int, n: int, cap: int = ORACLE_CAP) -> int:

@@ -24,8 +24,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .certified import CertifiedReal
-from .core import check_k, kfib_order_k
-from .errors import CertificationError, DomainError
+from .core import kfib_order_k
+from .errors import CertificationError, DomainError, check_k
 
 MIN_BITS = 8
 
@@ -138,7 +138,7 @@ def asymptotic(k: int, n: int, bits: int) -> CertifiedReal:
     index alignment: under this package's initial values the quantity
     approximates F[n+k-2], not F[n] (the two coincide at k = 2).  It is
     exactly the limit of the series evaluated by
-    ``series.asymptotic_series_partial``.
+    ``series.asymptotic_series``.
     """
     check_k(k)
     if type(n) is not int or n < 0:

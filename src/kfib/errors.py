@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of the order k."""
 
 
 class DomainError(ValueError):
@@ -26,3 +26,10 @@ class CertificationError(ArithmeticError):
     Raised, never asserted, so the check also runs under ``python -O``.
     Like IntegralityError it signals an implementation bug, not bad input.
     """
+
+
+def check_k(k: int) -> int:
+    """k itself if it is a sequence order, an int >= 2 (not a bool); else DomainError."""
+    if type(k) is not int or k < 2:
+        raise DomainError(f"sequence order k must be an integer >= 2, got {k!r}")
+    return k

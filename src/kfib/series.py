@@ -1,5 +1,11 @@
 """Exact partial sums of the three binomial series, with certified tails.
 
+Each builder, ``rho_power_series``, ``hermite_series`` and
+``asymptotic_series``, returns one series.  Its ``partial(terms)`` is the
+exact sum of the first ``terms`` terms with a certified tail bound, and
+``adaptive_partial(series.partial, tol)`` doubles the count until that
+bound is at most tol.
+
 All three series have consecutive-term magnitude ratios that approach
 r_k = (k+1)**(k+1) / (k**k * 2**(k+1)) < 1, so beyond a stabilization
 index a plain geometric majorant with ratio theta_k = (1 + r_k)/2 bounds
@@ -36,18 +42,16 @@ from itertools import chain
 from math import lcm
 
 from .binomial import binom_row as _binom_row
-from .core import check_k
-from .errors import CertificationError, DomainError
-
-TYPE_CHECKING = False  # true for type checkers; importing typing costs start-up time
-if TYPE_CHECKING:
-    from .certified import CertifiedReal
+from .errors import CertificationError, DomainError, check_k
 
 #: consecutive observed ratios required under theta before the geometric
 #: bound is trusted (rides out the transient hump past the sign region)
 _RATIO_WINDOW = 3
 
 _MAX_PROBE = 100_000
+
+#: the term count ``adaptive_partial`` starts doubling from
+_START_TERMS = 4
 
 
 def term_ratio_limit(k: int) -> Fraction:
@@ -204,18 +208,26 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 def rho_power_series(k: int, n: int) -> _TailSeries:
-    """The series of ``rho_power_partial`` for repeated ``partial(terms)`` calls."""
+    """The series of rho_k**n: 2**n minus a weighted binomial series (n >= 1).
+
+    Term el is -n * 2**(n-k-1) * binom(k*(el+1) + el - n, el) / ((el+1) *
+    2**((k+1)*el)).  With zero terms the value is exactly 2**n.  The limit
+    is rho_k**n; at n = 1 the k = 2 case is the classical golden-ratio
+    series.
+    """
     check_k(k)
     if type(n) is not int or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
-    # -n * 2**(n-k-1) * binom(k*(el+1) + el - n, el) / ((el+1) * 2**((k+1)*el))
     terms = ((-n * c, el + 1, n - k - 1 - (k + 1) * el)
              for el, c in enumerate(_binom_row(k, k - n)))
     return _TailSeries(terms, max(0, _ceil_div(n - k, k)), k, base=1 << n)
 
 
 def hermite_series(k: int, a: int) -> _TailSeries:
-    """The series of ``hermite_sum_partial`` for repeated ``partial(terms)`` calls."""
+    """The series sum_el binom((k+1)el + a, el) / 2**((k+1)el), a any integer.
+
+    The limit equals 2**(a+1) * rho_k**(-a) / ((k+1) rho_k - 2k).
+    """
     check_k(k)
     if type(a) is not int:
         raise DomainError(f"a must be an integer, got {a!r}")
@@ -224,7 +236,14 @@ def hermite_series(k: int, a: int) -> _TailSeries:
 
 
 def asymptotic_series(k: int, n: int) -> _TailSeries:
-    """The series of ``asymptotic_series_partial`` for repeated ``partial(terms)`` calls."""
+    """The dominant-term series at index n (n >= 0, n != 1).
+
+    The limit equals the dominant-term value computed by
+    ``dominant_root.asymptotic``; truncating at floor((n-1)/(k+1)) + 1
+    terms gives exactly the integer F[n+k-2].  The index n = 1 is refused:
+    the first term of the series degenerates there and the identity's
+    derivation relies on it.
+    """
     check_k(k)
     if type(n) is not int or n < 0:
         raise DomainError(f"n must be a nonnegative integer, got {n!r}")
@@ -245,39 +264,9 @@ def _check_terms(terms: int) -> int:
     return terms
 
 
-def rho_power_partial(k: int, n: int, terms: int) -> SeriesPartialSum:
-    """Partial sum for rho_k**n: 2**n minus a weighted binomial series.
-
-    With zero terms the value is exactly 2**n.  The limit is rho_k**n;
-    at n = 1 the k = 2 case is the classical golden-ratio series.
-    """
-    return rho_power_series(k, n).partial(terms)
-
-
-def hermite_sum_partial(k: int, a: int, terms: int) -> SeriesPartialSum:
-    """Partial sum of sum_el binom((k+1)el + a, el) / 2**((k+1)el).
-
-    The limit equals 2**(a+1) * rho_k**(-a) / ((k+1) rho_k - 2k) for every
-    integer a.
-    """
-    return hermite_series(k, a).partial(terms)
-
-
-def asymptotic_series_partial(k: int, n: int, terms: int) -> SeriesPartialSum:
-    """Partial sum of the dominant-term series at index n (n != 1).
-
-    The limit equals the dominant-term value computed by
-    ``dominant_root.asymptotic``; truncating at floor((n-1)/(k+1)) + 1
-    terms gives exactly the integer F[n+k-2].  The index n = 1 is refused:
-    the first term of the series degenerates there and the identity's
-    derivation relies on it.
-    """
-    return asymptotic_series(k, n).partial(terms)
-
-
 def adaptive_partial(partial: Callable[[int], SeriesPartialSum],
-                     tol: Fraction, start: int = 4) -> SeriesPartialSum:
-    """Double the term count from ``start`` until the tail bound is <= tol.
+                     tol: Fraction) -> SeriesPartialSum:
+    """Double the term count from ``_START_TERMS`` until the tail bound is <= tol.
 
     Pass one series' bound ``partial`` (``hermite_series(k, a).partial``):
     each doubling then extends that series' running sum instead of summing
@@ -285,17 +274,9 @@ def adaptive_partial(partial: Callable[[int], SeriesPartialSum],
     """
     if tol <= 0:
         raise DomainError(f"tolerance must be positive, got {tol!r}")
-    terms = start
+    terms = _START_TERMS
     while True:
         p = partial(terms)
         if p.tail_bound <= tol:
             return p
         terms *= 2
-
-
-def rho_power_via_series(k: int, n: int, tol) -> CertifiedReal:
-    """rho_k**n summed adaptively until the certified tail is <= tol."""
-    from .certified import CertifiedReal  # the one use of the ball type here
-
-    p = adaptive_partial(rho_power_series(k, n).partial, Fraction(tol))
-    return CertifiedReal(p.value, p.tail_bound)

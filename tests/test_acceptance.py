@@ -20,13 +20,7 @@ from kfib.closed_forms import (
 from kfib.core import count_compositions, kfib_order_k1, kfib_table
 from kfib.dominant_root import asymptotic, asymptotic_ratio, rho
 from kfib.dyadic import Dyadic
-from kfib.series import (
-    adaptive_partial,
-    asymptotic_series_partial,
-    hermite_sum_partial,
-    rho_power_partial,
-    rho_power_via_series,
-)
+from kfib.series import adaptive_partial, asymptotic_series, hermite_series, rho_power_series
 
 from oracles import phi_reference
 
@@ -115,13 +109,14 @@ def test_c07_power_series():
     with criterion(7, "power series at n=1 vs certified root; sound monotone "
                       "golden-ratio partial sums"):
         for k in (2, 3, 4, 5):
-            via_series = rho_power_via_series(k, 1, Fraction(1, 10**12))
+            via_series = adaptive_partial(rho_power_series(k, 1).partial, Fraction(1, 10**12))
             direct = rho(k, 128)
-            assert via_series.agrees_with(direct), k
+            assert (abs(via_series.value - direct.approx)
+                    <= via_series.tail_bound + direct.err), k
         phi, phi_err = phi_reference(60)
         prev = None
         for terms in range(1, 41):
-            p = rho_power_partial(2, 1, terms)
+            p = rho_power_series(2, 1).partial(terms)
             if prev is not None:
                 assert p.value < prev, terms
             assert p.value >= phi - phi_err, terms
@@ -135,8 +130,7 @@ def test_c08_ratio_sum_identity():
             r = rho(k, 64)
             denom = (k + 1) * r - 2 * k
             for a in range(-3, 4):
-                lhs = adaptive_partial(lambda t: hermite_sum_partial(k, a, t),
-                                       Fraction(1, 10**11))
+                lhs = adaptive_partial(hermite_series(k, a).partial, Fraction(1, 10**11))
                 rhs = (Fraction(2) ** (a + 1)) * r ** (-a) / denom
                 combined = lhs.tail_bound + rhs.err
                 assert combined <= Fraction(1, 10**10), (k, a)
@@ -149,12 +143,12 @@ def test_c09_dominant_term_series():
         for k in (2, 3):
             for n in (0, 2, 5, 10, 20):
                 tol = Fraction(max(1, 2**n), 10**10)
-                lhs = adaptive_partial(lambda t: asymptotic_series_partial(k, n, t), tol)
+                lhs = adaptive_partial(asymptotic_series(k, n).partial, tol)
                 rhs = asymptotic(k, n, 64)
                 assert abs(lhs.value - rhs.approx) <= lhs.tail_bound + rhs.err, (k, n)
             for n in range(2, 101):
                 cut = (n - 1) // (k + 1) + 1
-                assert (asymptotic_series_partial(k, n, cut).value
+                assert (asymptotic_series(k, n).partial(cut).value
                         == kfib_binomial_shifted(k, n)), (k, n)
 
 

@@ -333,16 +333,18 @@ NOT_LOADED = {
     ("fib", "--k", "3", "--n", "9"): {
         "kfib.closed_forms", "kfib.binomial", "kfib.dyadic", "kfib.verify", *ANALYTIC,
         *RATIONALS},
+    # the closed forms take check_k from kfib.errors and load no engine
     **{("fib", "--k", "3", "--n", "9", "--method", method): {
-        "kfib.dyadic", "kfib.verify", *ANALYTIC, *RATIONALS}
+        "kfib.dyadic", "kfib.verify", *ANALYTIC, *RATIONALS,
+        *(["kfib.core"] if method in ("binomial", "ordinary", "ordinary-alt") else [])}
        for method in (*cli.FIB_ENGINES, "all")},
     ("rho", "--k", "2", "--epsilon"): {"kfib.series", "kfib.verify", "kfib.dyadic"},
     ("asymptotic", "--k", "3", "--n", "100", "--ratio"): {
         "kfib.series", "kfib.verify", "kfib.dyadic"},
     ("series", "--which", "thm1", "--k", "2", "--n", "1"): {
-        "kfib.certified", "kfib.dominant_root", "kfib.verify", "kfib.dyadic"},
+        "kfib.core", "kfib.certified", "kfib.dominant_root", "kfib.verify", "kfib.dyadic"},
     ("series", "--which", "thm2", "--k", "3", "--a", "-2", "--terms", "40"): {
-        "kfib.certified", "kfib.dominant_root", "kfib.verify", "kfib.dyadic"},
+        "kfib.core", "kfib.certified", "kfib.dominant_root", "kfib.verify", "kfib.dyadic"},
     ("verify", "--suite", "engines"): {"kfib.dyadic", *ANALYTIC, *RATIONALS},
     ("verify", "--suite", "identities"): {"kfib.dyadic", *ANALYTIC, *RATIONALS},
     ("verify", "--suite", "erratum"): ANALYTIC,

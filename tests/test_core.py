@@ -201,9 +201,11 @@ def test_bool_arguments_rejected_by_every_entry_point():
         (kfib.kfib_ordinary, 3, 9), (kfib.kfib_ordinary_alt, 3, 9),
         (kfib.kfib_ordinary_erroneous, 3, 9), (kfib.term_ratio_limit, 3), (kfib.epsilon, 3, 16), (kfib.rho, 3, 16),
         (kfib.asymptotic, 3, 9, 16), (kfib.asymptotic_ratio, 3, 9, 16),
-        (kfib.rho_power_partial, 3, 2, 4), (kfib.hermite_sum_partial, 3, -1, 4),
-        (kfib.asymptotic_series_partial, 3, 9, 4),
-        (kfib.rho_power_via_series, 3, 2, Fraction(1, 10**6)),
+        (lambda k, n, t: kfib.rho_power_series(k, n).partial(t), 3, 2, 4),
+        (lambda k, a, t: kfib.hermite_series(k, a).partial(t), 3, -1, 4),
+        (lambda k, n, t: kfib.asymptotic_series(k, n).partial(t), 3, 9, 4),
+        (lambda k, n, tol: kfib.adaptive_partial(kfib.rho_power_series(k, n).partial, tol),
+         3, 2, Fraction(1, 10**6)),
     ]
     for fn, *args in valid:
         ints = [i for i, x in enumerate(args) if type(x) is int]
@@ -213,3 +215,30 @@ def test_bool_arguments_rejected_by_every_entry_point():
                 bad = args[:i] + [flag] + args[i + 1:]
                 with pytest.raises(DomainError):
                     fn(*bad)
+
+
+@pytest.mark.parametrize("fn", [kfib_order_k, kfib_order_k1])
+def test_stepping_window_is_small_for_huge_k(monkeypatch, fn):
+    # a window holds only the terms from F[k-1] on: two here, not k zeros
+    monkeypatch.setattr(core, "_powers", lambda k, n: False)
+    k = 5 * 10**6
+    tracemalloc.start()
+    try:
+        value = fn(k, k + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == 2
+    assert peak < 2**20, peak
+
+
+def test_stepping_while_the_window_fills(monkeypatch):
+    # n from k-2 to 2k+3: the windows fill at F[2k-2] and F[2k-1]
+    monkeypatch.setattr(core, "_powers", lambda k, n: False)
+    for k in range(2, 41):
+        table = kfib_table(k, 2 * k + 3)
+        for n in range(k - 2, 2 * k + 4):
+            expected = kfib_stepping(k, n)
+            assert kfib_order_k(k, n) == expected, (k, n)
+            assert kfib_order_k1(k, n) == expected, (k, n)
+            assert table[n] == expected, (k, n)

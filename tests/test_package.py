@@ -1,6 +1,7 @@
 import ast
 import importlib
 import pickle
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -79,3 +80,35 @@ def test_no_assert_statements_in_the_package():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _load_tracer():
+    # compiled from its text, so that no bytecode is written under perfbench/
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    module = types.ModuleType("perfbench_tracer")
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+def test_benchmark_tracer_still_hooks_the_package():
+    # the benchmark's tracer hooks names it finds in the package: a renamed
+    # hook, or a function imported from a module outside its layers, would
+    # break a traced run only when the benchmark is run
+    tracer_module = _load_tracer()
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        patched = set(tracer.names)
+        assert tracer._patches
+    finally:
+        tracer.uninstall()
+    assert {nm.partition(".")[0] for nm in patched} <= set(tracer_module.LAYERS)
+    hooks = {f"{layer}.{cls}.{attr}" for (layer, cls), attrs in tracer_module.METHODS.items()
+             for attr in attrs}
+    hooks |= {f"{layer}.{name}" for layer, names in tracer_module.SAME_MODULE.items()
+              for name in names}
+    assert hooks <= patched
+    for target in tracer_module.EXPONENTS.values():
+        layer, _, name = target.partition(".")
+        fn = getattr(importlib.import_module(f"kfib.{layer}"), name)
+        assert fn.__module__ == f"kfib.{layer}", target

@@ -11,12 +11,8 @@ from kfib.series import (
     _binom_row,
     adaptive_partial,
     asymptotic_series,
-    asymptotic_series_partial,
     hermite_series,
-    hermite_sum_partial,
-    rho_power_partial,
     rho_power_series,
-    rho_power_via_series,
     term_ratio_limit,
 )
 
@@ -39,11 +35,11 @@ def test_ratio_limit_values():
 def test_power_series_empty_sum_is_power_of_two():
     for k in (2, 3, 5, 8):
         for n in (1, 2, 7, 30):
-            assert rho_power_partial(k, n, 0).value == 2**n
+            assert rho_power_series(k, n).partial(0).value == 2**n
 
 
 def test_power_series_first_terms():
-    p = rho_power_partial(2, 1, 1)
+    p = rho_power_series(2, 1).partial(1)
     assert p.value == Fraction(7, 4)  # 2 - 1/4
 
 
@@ -53,7 +49,7 @@ def test_power_series_tail_soundness():
         for n in (1, 2, 5, 10):
             limit = root**n
             for terms in (0, 1, 2, 3, 5, 8, 13, 21, 34, 55):
-                p = rho_power_partial(k, n, terms)
+                p = rho_power_series(k, n).partial(terms)
                 assert abs(p.value - limit) <= p.tail_bound + (n + 1) * root_err, (
                     k, n, terms,
                 )
@@ -63,7 +59,7 @@ def test_golden_ratio_partial_sums_monotone_and_sound():
     phi, phi_err = phi_reference(60)
     prev = None
     for terms in range(1, 41):
-        p = rho_power_partial(2, 1, terms)
+        p = rho_power_series(2, 1).partial(terms)
         # all terms are negative: the partial sums decrease onto phi
         if prev is not None:
             assert p.value < prev
@@ -74,14 +70,14 @@ def test_golden_ratio_partial_sums_monotone_and_sound():
 
 def test_power_series_squared_golden_ratio():
     phi, phi_err = phi_reference(60)
-    p = adaptive_partial(lambda t: rho_power_partial(2, 2, t), Fraction(1, 10**9))
+    p = adaptive_partial(rho_power_series(2, 2).partial, Fraction(1, 10**9))
     assert abs(p.value - (phi + 1)) <= p.tail_bound + 3 * phi_err
 
 
 def test_hermite_first_terms():
-    p = hermite_sum_partial(2, 0, 4)
+    p = hermite_series(2, 0).partial(4)
     assert p.value == 1 + Fraction(3, 8) + Fraction(15, 64) + Fraction(84, 512)
-    assert hermite_sum_partial(3, -1, 1).value == binom(-1, 0) == 1
+    assert hermite_series(3, -1).partial(1).value == binom(-1, 0) == 1
 
 
 def test_hermite_limit_identity():
@@ -90,24 +86,23 @@ def test_hermite_limit_identity():
         denom = (k + 1) * root - 2 * k
         for a in range(-3, 4):
             limit = Fraction(2) ** (a + 1) * root ** (-a) / denom
-            p = adaptive_partial(lambda t: hermite_sum_partial(k, a, t),
-                                 Fraction(1, 10**11))
+            p = adaptive_partial(hermite_series(k, a).partial, Fraction(1, 10**11))
             assert abs(p.value - limit) <= p.tail_bound + Fraction(1, 10**20), (k, a)
 
 
 def test_hermite_k2_known_limit():
     # limit for a = 0 is 2 / (3 phi - 4)
-    p = adaptive_partial(lambda t: hermite_sum_partial(2, 0, t), Fraction(1, 10**10))
+    p = adaptive_partial(hermite_series(2, 0).partial, Fraction(1, 10**10))
     assert abs(p.value - Fraction("2.34164079")) < Fraction(1, 10**7)
 
 
 def test_asymptotic_series_n1_excluded():
     with pytest.raises(DomainError):
-        asymptotic_series_partial(2, 1, 5)
+        asymptotic_series(2, 1).partial(5)
 
 
 def test_asymptotic_series_first_term():
-    p = asymptotic_series_partial(2, 0, 1)
+    p = asymptotic_series(2, 0).partial(1)
     assert p.value == Fraction(1, 4)
 
 
@@ -115,7 +110,7 @@ def test_asymptotic_series_limit_matches_dominant_term():
     for k in (2, 3):
         for n in (0, 2, 5, 10, 20):
             tol = Fraction(max(1, 2**n), 10**10)
-            p = adaptive_partial(lambda t: asymptotic_series_partial(k, n, t), tol)
+            p = adaptive_partial(asymptotic_series(k, n).partial, tol)
             ref = asymptotic(k, n, 64)
             assert abs(p.value - ref.approx) <= p.tail_bound + ref.err, (k, n)
 
@@ -124,7 +119,7 @@ def test_asymptotic_series_truncation_is_exact_integer():
     for k in range(2, 7):
         for n in range(2, 101):
             cut = (n - 1) // (k + 1) + 1
-            p = asymptotic_series_partial(k, n, cut)
+            p = asymptotic_series(k, n).partial(cut)
             assert p.value == kfib_binomial_shifted(k, n), (k, n)
 
 
@@ -135,9 +130,9 @@ def test_term_ratios_approach_limit_and_stay_under_theta():
         r = term_ratio_limit(k)
         theta = (1 + r) / 2
         for n in (0, 2, 5, 10, 25):
-            series_fns = [lambda t: asymptotic_series_partial(k, n, t)]
+            series_fns = [lambda t: asymptotic_series(k, n).partial(t)]
             if n >= 1:
-                series_fns.append(lambda t: rho_power_partial(k, n, t))
+                series_fns.append(lambda t: rho_power_series(k, n).partial(t))
             for fn in series_fns:
                 # recover terms by differencing successive partials
                 partials = [fn(t).value for t in range(40, 91)]
@@ -149,34 +144,34 @@ def test_term_ratios_approach_limit_and_stay_under_theta():
 
 def test_adaptive_power_sum_agrees_with_root():
     for k in (2, 3, 4, 5):
-        via_series = rho_power_via_series(k, 1, Fraction(1, 10**12))
+        via_series = adaptive_partial(rho_power_series(k, 1).partial, Fraction(1, 10**12))
         direct = rho(k, 128)
-        assert via_series.agrees_with(direct), k
+        assert abs(via_series.value - direct.approx) <= via_series.tail_bound + direct.err, k
 
 
 def test_adaptive_power_sum_k3_vs_bisection():
     root, root_err = _rho_ref(3)
-    v = rho_power_via_series(3, 1, Fraction(1, 10**10))
-    assert abs(v.approx - root) <= v.err + root_err
+    v = adaptive_partial(rho_power_series(3, 1).partial, Fraction(1, 10**10))
+    assert abs(v.value - root) <= v.tail_bound + root_err
 
 
 def test_phi_fifth_power_identity():
     # phi**n = F[n] phi + F[n-1]
     phi, phi_err = phi_reference(60)
     f5, f4 = fib_pair(5)
-    v = rho_power_via_series(2, 5, Fraction(1, 10**9))
-    assert abs(v.approx - (f5 * phi + f4)) <= v.err + 6 * phi_err
+    v = adaptive_partial(rho_power_series(2, 5).partial, Fraction(1, 10**9))
+    assert abs(v.value - (f5 * phi + f4)) <= v.tail_bound + 6 * phi_err
 
 
 def test_domain_validation():
     with pytest.raises(DomainError):
-        rho_power_partial(2, 0, 4)  # n must be positive
+        rho_power_series(2, 0).partial(4)  # n must be positive
     with pytest.raises(DomainError):
-        rho_power_partial(1, 1, 4)
+        rho_power_series(1, 1).partial(4)
     with pytest.raises(DomainError):
-        hermite_sum_partial(2, 0, -1)
+        hermite_series(2, 0).partial(-1)
     with pytest.raises(DomainError):
-        rho_power_via_series(2, 1, Fraction(0))
+        adaptive_partial(rho_power_series(2, 1).partial, Fraction(0))
 
 
 def _same(term: Fraction, num: int, den: int, e: int) -> bool:
@@ -227,7 +222,7 @@ def test_tail_cap_refused_before_bridging():
     # the ordinary regime starts at el = 125000, past the probe cap: the
     # tail bound is refused at once instead of bridging 1e5 terms first
     with pytest.raises(DomainError, match="cap"):
-        hermite_sum_partial(2, -250000, 4)
+        hermite_series(2, -250000).partial(4)
 
 
 # -- the integer sums against a Fraction oracle built from binom -----------
@@ -312,10 +307,10 @@ def test_integer_sums_match_fraction_oracle(k):
 def test_adaptive_over_one_series_matches_fresh_series(k):
     for label, series, oracle in _oracles(k):
         tol = Fraction(1, 10**20)
-        fresh = {"thm1": rho_power_partial, "thm2": hermite_sum_partial,
-                 "thm3": asymptotic_series_partial}[label[:4]]
+        fresh = {"thm1": rho_power_series, "thm2": hermite_series,
+                 "thm3": asymptotic_series}[label[:4]]
         x = int(label.rpartition("=")[2])
-        old = adaptive_partial(lambda t: fresh(k, x, t), tol)
+        old = adaptive_partial(lambda t: fresh(k, x).partial(t), tol)
         p = adaptive_partial(series.partial, tol)
         assert p == old, label
         assert tuple(p) == oracle.partial(p.terms_used), label
@@ -345,5 +340,5 @@ def test_tail_bridged_once_per_series(monkeypatch):
     assert calls["good"] <= 2 * gate and calls["split"] <= 4 * gate, (calls, gate)
     monkeypatch.undo()
     for t in (4, 8, 64, 1024):
-        assert series.partial(t) == hermite_sum_partial(2, -4000, t), t
-    assert p == hermite_sum_partial(2, -4000, 1024)
+        assert series.partial(t) == hermite_series(2, -4000).partial(t), t
+    assert p == hermite_series(2, -4000).partial(1024)
