@@ -87,14 +87,6 @@ class CertifiedReal:
     def hi(self) -> Fraction:
         return self.approx + self.err
 
-    def contains(self, value) -> bool:
-        return self.lo <= _frac(value) <= self.hi
-
-    def agrees_with(self, other: "CertifiedReal") -> bool:
-        """True when the two certified values are compatible: the gap
-        between approximations is within the combined bounds."""
-        return abs(self.approx - other.approx) <= self.err + other.err
-
     # -- rounding ------------------------------------------------------
 
     def rounded(self, prec: int) -> "CertifiedReal":

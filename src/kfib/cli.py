@@ -35,8 +35,6 @@ from .errors import CertificationError, DomainError, IntegralityError, OracleCap
 
 TYPE_CHECKING = False  # true for type checkers; importing typing costs start-up time
 if TYPE_CHECKING:
-    from .certified import CertifiedReal
-    from .series import SeriesPartialSum
     from .verify import VerifyReport
 
 
@@ -66,23 +64,13 @@ class OutputRecord(namedtuple("OutputRecord",
 # -- output formatting ---------------------------------------------------
 
 
-def _certified_record(command: str, params: dict[str, str], value: CertifiedReal,
-                      method: str) -> OutputRecord:
-    from .render import approx, digits_for  # approximate values only
+def _approx_record(command: str, params: dict[str, str], x, err, method: str,
+                   spare: int = 0) -> OutputRecord:
+    """The rational x within err >= 0, shown to the digits err supports plus
+    ``spare``, at most ``DIGITS_CAP`` after the point."""
+    from .render import DIGITS_CAP, approx, digits_for  # approximate values only
 
-    x, err = value.approx, value.err
-    if err == 0 and x.denominator == 1:
-        return OutputRecord(command, params, str(x.numerator), True, None, method)
-    shown, bound = approx(x, err, digits_for(err) if err else 60)
-    return OutputRecord(command, params, shown, False, bound, method)
-
-
-def _partial_record(command: str, params: dict[str, str], p: SeriesPartialSum,
-                    method: str) -> OutputRecord:
-    from .render import approx, digits_for
-
-    shown, bound = approx(p.value, p.tail_bound, min(digits_for(p.tail_bound) + 2, 60))
-    params = dict(params, terms=str(p.terms_used))
+    shown, bound = approx(x, err, min(digits_for(err) + spare, DIGITS_CAP))
     return OutputRecord(command, params, shown, False, bound, method)
 
 
@@ -279,8 +267,8 @@ def _run_fib(opts: dict) -> tuple[list[OutputRecord], int]:
 def _run_rho(opts: dict) -> tuple[list[OutputRecord], int]:
     quantity = "epsilon" if opts["epsilon"] else "rho"
     params = {"k": str(opts["k"]), "bits": str(opts["bits"]), "quantity": quantity}
-    value = _load(quantity)(opts["k"], opts["bits"])
-    return [_certified_record("rho", params, value, "newton")], 0
+    ball = _load(quantity)(opts["k"], opts["bits"])
+    return [_approx_record("rho", params, ball.approx, ball.err, "newton")], 0
 
 
 def _tol(text: str):
@@ -318,21 +306,23 @@ def _run_series(opts: dict) -> tuple[list[OutputRecord], int]:
                "thm3": "asymptotic_series"}[which]
     params = {"k": str(k), key: str(opts[key])}
     if terms is not None:
-        p = _load(builder)(k, opts[key]).partial(terms)
-        return [_partial_record("series", params, p, f"{which}-partial")], 0
-    tol = "1e-12" if tol is None else tol
-    bound = _tol(tol)
-    # one series for the whole run: each doubling extends its running sum
-    p = _load("adaptive_partial")(_load(builder)(k, opts[key]).partial, bound)
-    return [_partial_record("series", dict(params, tol=tol), p, f"{which}-adaptive")], 0
+        p, method = _load(builder)(k, opts[key]).partial(terms), f"{which}-partial"
+    else:
+        params["tol"] = tol = "1e-12" if tol is None else tol
+        bound = _tol(tol)
+        # one series for the whole run: each doubling extends its running sum
+        p = _load("adaptive_partial")(_load(builder)(k, opts[key]).partial, bound)
+        method = f"{which}-adaptive"
+    params["terms"] = str(p.terms_used)
+    return [_approx_record("series", params, p.value, p.tail_bound, method, spare=2)], 0
 
 
 def _run_asymptotic(opts: dict) -> tuple[list[OutputRecord], int]:
     quantity, name = ("ratio", "asymptotic_ratio") if opts["ratio"] else ("value", "asymptotic")
     params = {"k": str(opts["k"]), "n": str(opts["n"]), "bits": str(opts["bits"]),
               "quantity": quantity}
-    value = _load(name)(opts["k"], opts["n"], opts["bits"])
-    return [_certified_record("asymptotic", params, value, "dominant-root")], 0
+    ball = _load(name)(opts["k"], opts["n"], opts["bits"])
+    return [_approx_record("asymptotic", params, ball.approx, ball.err, "dominant-root")], 0
 
 
 def run(argv: list[str] | None = None) -> int:

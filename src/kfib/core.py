@@ -147,20 +147,21 @@ def kfib_table(k: int, n_max: int) -> tuple[int, ...]:
     return tuple(islice(_order_k_terms(k), n_max + 1))
 
 
-def count_compositions(k: int, n: int, cap: int = ORACLE_CAP) -> int:
+def count_compositions(k: int, n: int) -> int:
     """Number of ways to write n as an ordered sum of parts from {1..k}.
 
     Counted by walking the full tree of leading-part choices, one visit
     per composition; deliberately no recurrence or memoization, so the
     result is independent of the Fibonacci engines it cross-checks
-    (the count equals F[n+k-1]).
+    (the count equals F[n+k-1]).  n past ORACLE_CAP is refused with
+    OracleCapError.
     """
     check_k(k)
     if type(n) is not int or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
-    if n > cap:
+    if n > ORACLE_CAP:
         raise OracleCapError(
-            f"oracle cap: n={n} exceeds the enumeration cap {cap}; "
+            f"oracle cap: n={n} exceeds the enumeration cap {ORACLE_CAP}; "
             "use a recurrence engine for inputs this large"
         )
 

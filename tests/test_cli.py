@@ -248,6 +248,36 @@ def test_verify_series_suite_direct():
             "asymptotic-series", "truncation-integer"} <= checks
 
 
+def test_verify_series_strings_are_exactly_rounded():
+    # the partial-sum-vs-ball cells show both sides as render.fixed of the
+    # exact rational: through a float, 11 of these 84 strings were off in
+    # the last place (66012.001073266365 for ...359 below)
+    from kfib.dominant_root import asymptotic, rho
+    from kfib.series import adaptive_partial, asymptotic_series, hermite_series, rho_power_series
+
+    def shown(x, places):
+        return render.fixed(x.numerator, x.denominator, places)
+
+    want = {}
+    for k in range(2, 6):
+        p = adaptive_partial(rho_power_series(k, 1).partial, Fraction(1, 10**12))
+        want["power-sum-vs-root", k, 1] = shown(rho(k, 128).approx, 15), shown(p.value, 15)
+        r = rho(k, 64)
+        for a in range(-3, 4):
+            p = adaptive_partial(hermite_series(k, a).partial, Fraction(1, 10**11))
+            ball = (Fraction(2) ** (a + 1)) * r ** (-a) / ((k + 1) * r - 2 * k)
+            want["ratio-sum-identity", k, a] = shown(ball.approx, 15), shown(p.value, 15)
+    for k in (2, 3):
+        for n in (0, 2, 5, 10, 20):
+            p = adaptive_partial(asymptotic_series(k, n).partial, Fraction(max(1, 2**n), 10**10))
+            want["asymptotic-series", k, n] = (shown(asymptotic(k, n, 50).approx, 12),
+                                               shown(p.value, 12))
+    got = {(c.check, c.k, c.n): (c.expected, c.actual) for c in verify_series().cells
+           if c.check in {"power-sum-vs-root", "ratio-sum-identity", "asymptotic-series"}}
+    assert got == want and len(got) == 42
+    assert got["asymptotic-series", 3, 20][1] == "66012.001073266359"
+
+
 def test_verify_erratum_counts_divergences():
     report = verify_erratum(6, 60)
     assert report.failures == 0
@@ -416,20 +446,22 @@ def test_module_entry_point_matches_run(capsys, argv):
 
 # -- series output pinned at the benchmark's sizes -------------------------
 
+_PHI_2048_TERMS = (
+    "1.6180339887498948482045868343656381177203091798057628621354486227052604628189"
+    "0244970720720418939113748475408807538689175212663386222353693179318006076672635540")
+
 #: argv -> (value, error_bound, params.terms) as printed before the series
-#: were summed in integers; the sums must stay exact, so these never move
+#: were summed in integers; the sums must stay exact, so these never move,
+#: except that the thm1 rows from 1e-50 down now show the digits of their
+#: tail bound, where a 60-digit cap once held them at 5.1e-61
 SERIES_PINNED = {
     ("thm1", "--k", "2", "--n", "1", "--tol", "1e-25"): (
         "1.61803398874989484820458683436563811772031084", "3.7e-42", "512"),
     ("thm1", "--k", "2", "--n", "1", "--tol", "1e-50"): (
-        "1.618033988749894848204586834365638117720309179805762862135449", "5.1e-61",
-        "1024"),
-    ("thm1", "--k", "2", "--n", "1", "--tol", "1e-100"): (
-        "1.618033988749894848204586834365638117720309179805762862135449", "5.1e-61",
-        "2048"),
-    ("thm1", "--k", "2", "--n", "1", "--tol", "1e-150"): (
-        "1.618033988749894848204586834365638117720309179805762862135449", "5.1e-61",
-        "2048"),
+        "1.6180339887498948482045868343656381177203091798057628621354486227052604628189024595",
+        "2.2e-80", "1024"),
+    ("thm1", "--k", "2", "--n", "1", "--tol", "1e-100"): (_PHI_2048_TERMS, "2.2e-156", "2048"),
+    ("thm1", "--k", "2", "--n", "1", "--tol", "1e-150"): (_PHI_2048_TERMS, "2.2e-156", "2048"),
     ("thm3", "--k", "3", "--n", "100", "--tol", "1e-12"): (
         "98079530178586034536500564.00000000000000350", "2.7e-15", "128"),
     ("thm2", "--k", "3", "--a", "-3", "--tol", "1e-12"): (
@@ -447,6 +479,20 @@ def test_series_output_pinned(capsys, argv):
     assert code == 0
     (rec,) = json.loads(out)
     assert (rec["value"], rec["error_bound"], rec["params"]["terms"]) == SERIES_PINNED[argv]
+
+
+@pytest.mark.parametrize("tol", ["1e-12", "1e-60", "1e-100", "1e-150"])
+@pytest.mark.parametrize("argv", [("thm1", "--k", "2", "--n", "1"),
+                                  ("thm2", "--k", "3", "--a", "-3"),
+                                  ("thm3", "--k", "3", "--n", "100")], ids=" ".join)
+def test_series_error_bound_follows_tol(capsys, argv, tol):
+    # the printed bound is the tail bound plus the display's rounding, so a
+    # small --tol shows in the output
+    code, out, _ = run_capture(capsys, "--format", "json", "series", "--which", *argv,
+                               "--tol", tol)
+    assert code == 0
+    (rec,) = json.loads(out)
+    assert Fraction(rec["error_bound"]) <= 2 * Fraction(tol)
 
 
 # -- rho and asymptotic --ratio output pinned at the benchmark's sizes ------
@@ -731,7 +777,8 @@ def test_json_writer_matches_json_dumps(x):
 # -- stdout pinned across the rewrite of the parser and the writer ----------
 
 #: argv -> sha256 of stdout as printed when argparse read the command line
-#: and the json module wrote the records
+#: and the json module wrote the records; re-pinned since: the thm1 series at
+#: 4e-150 (no 60-digit cap) and the series suite (strings exactly rounded)
 GOLDEN_STDOUT = {
     "fib --k 3 --n 9": "b76baf6af34cdba21310e1496213a587d3090039337427575190c8d754e3efba",
     "--format json fib --k 3 --n 9 --method all": "7f41cf8bf731ae256f8a9cb09dfdc4eeb89110e7bfba3d15082bab407639b846",
@@ -751,7 +798,7 @@ GOLDEN_STDOUT = {
     "--format csv series --which thm3 --k 3 --n 100 --tol 1e-12": "1eba559697e7ce650162d201ede5e1f39f5530d4a0982f8b77de2e817aa7bdb4",
     "--format json series --which thm1 --k 2 --n 3 --terms 10": "b4ddf3ca23b8386f3e3613405968bbd810eaf78d2564d73c08c2d090ac785352",
     "--quiet series --which thm2 --k 2 --a -4 --terms 5": "86b07afd49d9f06461968d3fafc6b2df95cac46360cfb9cddae79696d18f3bd3",
-    "--format json series --which thm1 --k 2 --n 1 --tol 4e-150": "8a3752ec49c8b8ff241922773112d1cff86b4190fabd2610da8e5aee6acd330f",
+    "--format json series --which thm1 --k 2 --n 1 --tol 4e-150": "d6355e97aa62198875dffc723cf556edb8e6153a11af9be113752c1857c388f1",
     "asymptotic --k 2 --n 10 --bits 40": "30ed77e03c42cbc3aaf2c509efe919b411f44291687306624b9c9b960e9dff88",
     "--format json asymptotic --k 3 --n 100 --bits 64 --ratio": "e3cf94bfc9824be2abddc85b6d8237721973af087a3456f68d950610849ac9d1",
     "--format csv asymptotic --k 4 --n 50 --bits 96": "3f50c4180092eeca4f0ad0ac3c27638c6617d2f1a670e11c16165f9344184c30",
@@ -761,7 +808,7 @@ GOLDEN_STDOUT = {
     "--format csv verify --suite engines --k-max 4 --n-max 40": "50660e9e29169bb5abea6c0951ee78c60d3e5d2b173c98e4835d0fc610100241",
     "--quiet verify --suite erratum --k-max 6 --n-max 40": "9e80c134fe29f0ab85e637915c415a18b2cf6286d434c863fe280d40c314e72c",
     "--format json verify --suite identities --k-max 3 --n-max 30": "7f8765a36b9f5c4d3ca48129496838938677bfaa49f0a01b86e9b9ce18603f7a",
-    "--format json verify --suite series --k-max 3 --n-max 10": "67a2ee946f340d6f0d1aa41ba3ddae00407b6b56080ca13690023adbdc0a1336",
+    "--format json verify --suite series --k-max 3 --n-max 10": "9c4f8635bd0ec7b7eb25a846595d0f7a1418ce77809427312488c043ca7d7857",
     "verify --k-max 3 --n-max 20": "caee374605f7ec5471df44fdea0cf0e6035cac68cc891477e055ba0cf29c0370",
 }
 

@@ -9,6 +9,7 @@ from oracles import kfib_stepping
 import kfib
 from kfib import core
 from kfib.core import (
+    ORACLE_CAP,
     count_compositions,
     kfib_order_k,
     kfib_order_k1,
@@ -168,7 +169,7 @@ def test_compositions_match_engine():
 def test_composition_cap():
     with pytest.raises(OracleCapError):
         count_compositions(2, 26)
-    assert count_compositions(2, 26, cap=26) == kfib_order_k(2, 27)
+    assert count_compositions(2, ORACLE_CAP) == kfib_order_k(2, ORACLE_CAP + 1)
 
 
 @pytest.mark.parametrize("bad_k", [1, 0, -3])

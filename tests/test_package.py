@@ -82,6 +82,17 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def test_no_float_calls_in_the_package():
+    # no floating point enters a value: every rounding and comparison is exact
+    sources = sorted(Path(kfib.__file__).parent.glob("*.py"))
+    assert len(sources) > 5
+    found = [f"{path.name}:{node.lineno}" for path in sources
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "float"]
+    assert found == []
+
+
 def _load_tracer():
     # compiled from its text, so that no bytecode is written under perfbench/
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
