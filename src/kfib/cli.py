@@ -67,7 +67,10 @@ class OutputRecord(namedtuple("OutputRecord",
 def _approx_record(command: str, params: dict[str, str], x, err, method: str,
                    spare: int = 0) -> OutputRecord:
     """The rational x within err >= 0, shown to the digits err supports plus
-    ``spare``, at most ``DIGITS_CAP`` after the point."""
+    ``spare``, at most ``DIGITS_CAP`` after the point; an integer x with
+    err == 0 (a zero seed of ``asymptotic --ratio``) is an exact record."""
+    if err == 0 and x.denominator == 1:
+        return OutputRecord(command, params, str(x.numerator), True, None, method)
     from .render import DIGITS_CAP, approx, digits_for  # approximate values only
 
     shown, bound = approx(x, err, min(digits_for(err) + spare, DIGITS_CAP))

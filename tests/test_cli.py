@@ -195,6 +195,18 @@ def test_asymptotic_and_ratio(capsys):
     assert out.strip().startswith("0.9999999999")
 
 
+@pytest.mark.parametrize("k,n", [(3, 1), (5, 1), (5, 2), (5, 3)])
+def test_asymptotic_ratio_at_a_zero_seed_is_exact(capsys, k, n):
+    # F[n] = 0 for 1 <= n < k-1, so the ratio is exactly 0 with err 0
+    code, out, _ = run_capture(capsys, "--format", "json", "asymptotic", "--k", str(k),
+                               "--n", str(n), "--ratio")
+    assert code == 0
+    assert json.loads(out) == [{
+        "command": "asymptotic",
+        "params": {"k": str(k), "n": str(n), "bits": "64", "quantity": "ratio"},
+        "value": "0", "exact": True, "method": "dominant-root"}]
+
+
 def test_csv_output(capsys):
     code, out, _ = run_capture(capsys, "--format", "csv", "fib", "--k", "2", "--n", "10")
     assert code == 0
