@@ -11,14 +11,15 @@ The result is always an exact integer: any product of b consecutive
 integers is divisible by b!.
 
 ``binom_row(k, c)`` walks the Lagrange-inversion coefficients
-``binom((k+1)*el + c, el)`` by exact term ratios; the closed forms and the
-series both draw on it.
+``binom((k+1)*el + c, el)`` by exact term ratios through every regime; the
+series draw on it.  The closed forms sum only negative-top rows and walk
+them by a positive ordinary-binomial ratio of their own.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from math import comb, factorial, perm, prod
+from math import comb, prod
 
 
 def binom(a: int, b: int) -> int:
@@ -27,10 +28,9 @@ def binom(a: int, b: int) -> int:
         if a >= 0:
             return comb(a, b)
         # a * (a-1) * ... * (a-b+1) = (-1)**b * |a| * (|a|+1) * ... * (|a|+b-1),
-        # the falling product perm(|a|+b-1, b); exact, so floor division never
-        # truncates here
-        falling = perm(b - a - 1, b)
-        return (-falling if b & 1 else falling) // factorial(b)
+        # and that rising product over b! is the ordinary C(|a|+b-1, b)
+        c = comb(b - a - 1, b)
+        return -c if b & 1 else c
     if a >= b:
         # a - b >= 0, so this resolves in the first case; depth is one.
         return binom(a, a - b)

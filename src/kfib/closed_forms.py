@@ -2,14 +2,16 @@
 
 Each sum is a truncated Lagrange-inversion series whose terms are
 c_el * 2**(e0 - (k+1)*el) with integer coefficients c_el.  Throughout the
-summed range every binomial top is negative, so each coefficient is one
-entry of a ``binom_row`` row (consecutive entries differ by a rational
-factor of el, so the row costs O(k) small products per entry) times a
-small exact rational.  The sum is accumulated by Horner's rule as one
-plain integer N = sum c_el << ((k+1)*(L-el)), L the last index, whose
-value is N * 2**(e0 - (k+1)*L).  Where that exponent is negative the claim
-"this truncated series is an integer" becomes "the low bits of N are
-zero", and it is executed on every call rather than assumed.
+summed range every binomial top (k+1)*el - m0 - 1 is negative, so each
+coefficient is (-1)**el * C(m0 - k*el, el), an ordinary binomial, times a
+small exact rational.  ``_negative_top_row`` walks that row by its term
+ratio perm(m-el, k+1) / ((el+1) * perm(m, k)), m = m0 - k*el, whose
+factors are all positive, so each entry costs two small ``perm`` products,
+one multiplication and one exact division.  The sum is accumulated by
+Horner's rule as one plain integer N = sum c_el << ((k+1)*(L-el)), L the
+last index, whose value is N * 2**(e0 - (k+1)*L).  Where that exponent is
+negative the claim "this truncated series is an integer" becomes "the low
+bits of N are zero", and it is executed on every call rather than assumed.
 
 Two of the formulas use only ordinary binomial coefficients (nonnegative
 entries); a deliberately misranged variant of one of them is kept as a
@@ -21,8 +23,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from itertools import chain
+from math import perm
 
-from .binomial import binom, binom_row
+from .binomial import binom
 from .errors import DomainError, IntegralityError, check_k
 
 TYPE_CHECKING = False  # true for type checkers; importing typing costs start-up time
@@ -49,6 +52,24 @@ def _exact_int(total: int, e: int) -> int:
     return total >> -e
 
 
+def _negative_top_row(k: int, m0: int, last: int) -> Iterator[int]:
+    """binom((k+1)*el - m0 - 1, el) for 0 <= el <= last <= m0 // (k+1).
+
+    Every top is negative, so the entry is (-1)**el * C(m, el) with
+    m = m0 - k*el, and C(m-k, el+1) = C(m, el) * perm(m-el, k+1) /
+    ((el+1) * perm(m, k)): every factor is positive, and perm(m, k) > 0
+    before the last index because m >= el + k + 1 there.  No step is taken
+    past ``last``, where perm(m, k) may be 0.  The sign alternates through
+    the divisor, -(el+1).
+    """
+    a, m = 1, m0
+    for el in range(last):
+        yield a
+        a = a * perm(m - el, k + 1) // (-(el + 1) * perm(m, k))
+        m -= k
+    yield a
+
+
 def _reflected_sum(k: int, m0: int, e0: int) -> int:
     """Sum of (binom(top, el) - binom(top, el-1)) * 2**(e0 - (k+1)*el)
     over 0 <= el <= m0 // (k+1), top = (k+1)*el - m0 - 1.
@@ -60,7 +81,7 @@ def _reflected_sum(k: int, m0: int, e0: int) -> int:
 
     def coeffs() -> Iterator[int]:
         m = m0
-        for el, b in zip(range(m0 // (k + 1) + 1), binom_row(k, -m0 - 1)):
+        for el, b in enumerate(_negative_top_row(k, m0, m0 // (k + 1))):
             yield b * (m + el) // m
             m -= k
 
@@ -115,7 +136,7 @@ def _ordinary_sum(k: int, n: int, upper: int | None = None) -> tuple[int, int]:
 
     def coeffs() -> Iterator[int]:
         m = n - k + 2
-        for el, b in zip(range(min(upper, last) + 1), binom_row(k, k - n - 3)):
+        for el, b in enumerate(_negative_top_row(k, m, min(upper, last))):
             yield b * ((m - el) * (m + el - 1)) // (m * (m - 1))
             m -= k
 

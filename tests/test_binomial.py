@@ -56,19 +56,22 @@ def test_pascal_identity_wide(a, b):
 @given(st.integers(-200, 200), st.integers(0, 200))
 @settings(max_examples=100)
 def test_negative_top_is_signed_ordinary(a, b):
-    # falling factorial over a negative top equals a signed ordinary coefficient
+    # falling factorial over a negative top equals a signed ordinary
+    # coefficient; binom computes it this way, so this only restates the
+    # code, and test_negative_top_matches_falling_product is the oracle
     if a < 0:
         assert binom(a, b) == (-1) ** (b % 2) * binom(b - a - 1, b)
 
 
 def test_negative_top_matches_falling_product():
-    # the definition itself, a * (a-1) * ... * (a-b+1) / b!, by a local loop
-    for a in range(-60, 0):
-        for b in range(0, 70):
-            prod = 1
-            for i in range(b):
-                prod *= a - i
-            assert binom(a, b) == prod // plain_factorial(b), (a, b)
+    # the definition itself, a * (a-1) * ... * (a-b+1) / b!, by a local loop;
+    # the large pairs reach the arguments where math.comb changes algorithm
+    pairs = [(a, b) for a in range(-60, 0) for b in range(0, 70)]
+    for a, b in pairs + [(-3000, 1000), (-5000, 2500), (-1, 4000), (-4000, 1)]:
+        prod = 1
+        for i in range(b):
+            prod *= a - i
+        assert binom(a, b) == prod // plain_factorial(b), (a, b)
 
 
 def test_binom_row_matches_binom_in_every_regime():

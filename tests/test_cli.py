@@ -260,6 +260,19 @@ def test_verify_series_suite_direct():
             "asymptotic-series", "truncation-integer"} <= checks
 
 
+def test_verify_series_stays_in_its_range(capsys):
+    # no cell past --k-max or --n-max; the ratio-sum identity's n column is
+    # its exponent a in -3..3, not an index, so only it may show n > 1
+    code, out, _ = run_capture(capsys, "--format", "csv", "verify", "--suite", "series",
+                               "--k-max", "2", "--n-max", "1")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert rows and all(k == "2" for _, _, k, *_ in rows)
+    indexed = {(check, int(n)) for _, check, _, n, *_ in rows if check != "ratio-sum-identity"}
+    assert indexed == {("power-sum-base", 1), ("power-sum-vs-root", 1),
+                       ("asymptotic-series", 0)}
+
+
 def test_verify_series_strings_are_exactly_rounded():
     # the partial-sum-vs-ball cells show both sides as render.fixed of the
     # exact rational: through a float, 11 of these 84 strings were off in
@@ -820,8 +833,11 @@ GOLDEN_STDOUT = {
     "--format csv verify --suite engines --k-max 4 --n-max 40": "50660e9e29169bb5abea6c0951ee78c60d3e5d2b173c98e4835d0fc610100241",
     "--quiet verify --suite erratum --k-max 6 --n-max 40": "9e80c134fe29f0ab85e637915c415a18b2cf6286d434c863fe280d40c314e72c",
     "--format json verify --suite identities --k-max 3 --n-max 30": "7f8765a36b9f5c4d3ca48129496838938677bfaa49f0a01b86e9b9ce18603f7a",
-    "--format json verify --suite series --k-max 3 --n-max 10": "9c4f8635bd0ec7b7eb25a846595d0f7a1418ce77809427312488c043ca7d7857",
+    "--format json verify --suite series --k-max 3 --n-max 10": "511a0175c81ed0ee983b3e5ce1776d33d0c211913c37b0f9bfd39b891b85b0f1",
     "verify --k-max 3 --n-max 20": "caee374605f7ec5471df44fdea0cf0e6035cac68cc891477e055ba0cf29c0370",
+    "verify --suite engines": "01e3348b41bbc6c10e4417517fdf228e2328088686238d25c07cee969c27c2a5",
+    "verify --suite identities": "dffbcf95aab4a074702d44bf177fd912c74b5a0e8c4b4137a5fb2c08d721ea5a",
+    "verify --suite erratum": "8341b833c2cd19ee23346aea783d38f9ba3b00af241d9e649598e846179c569e",
 }
 
 

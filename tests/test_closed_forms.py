@@ -8,6 +8,7 @@ from kfib import binomial, closed_forms
 from kfib.binomial import binom
 from kfib.closed_forms import (
     _exact_int,
+    _negative_top_row,
     _ordinary_sum,
     kfib_binomial,
     kfib_binomial_shifted,
@@ -18,6 +19,8 @@ from kfib.closed_forms import (
 from kfib.core import kfib_order_k, kfib_table
 from kfib.dyadic import Dyadic
 from kfib.errors import DomainError, IntegralityError
+
+from oracles import factorial_binom
 
 
 def test_shifted_sum_known_values():
@@ -147,6 +150,19 @@ def test_erroneous_agrees_at_k2():
 
 
 FORMS = (kfib_binomial, kfib_ordinary, kfib_ordinary_alt)
+
+
+def test_negative_top_row_matches_factorial_oracle():
+    # entry el is binom(top, el) with top = (k+1)*el - m0 - 1 < 0, that is
+    # (-1)**el * C(m0 - k*el, el), against factorials by a local loop
+    for k in range(2, 10):
+        for m0 in range(1, 301):
+            last = m0 // (k + 1)
+            row = list(_negative_top_row(k, m0, last))
+            assert len(row) == last + 1, (k, m0)
+            for el, entry in enumerate(row):
+                c = factorial_binom(m0 - k * el, el)
+                assert entry == (-c if el & 1 else c), (k, m0, el)
 
 
 def _misranged_tail(k, n):
