@@ -131,7 +131,7 @@ def _emit_reports(reports: list[VerifyReport], fmt: str, quiet: bool) -> None:
     if fmt == "json":
         print(_json([{"suite": rep.suite,
                       "cells": [{"check": c.check, "k": str(c.k), "n": str(c.n), "pass": c.ok,
-                                 "expected": c.expected, "actual": c.actual}
+                                 "expected": str(c.expected), "actual": str(c.actual)}
                                 for c in rep.cells],
                       "failures": rep.failures} for rep in reports]))
         return
@@ -139,17 +139,17 @@ def _emit_reports(reports: list[VerifyReport], fmt: str, quiet: bool) -> None:
         print("suite,check,k,n,pass,expected,actual")
         for rep in reports:
             for c in rep.cells:
-                print(f"{rep.suite},{c.check},{c.k},{c.n},{c.ok},{c.expected},{c.actual}")
+                print(f"{rep.suite},{c.check},{c.k},{c.n},{c.ok},{c.expected!s},{c.actual!s}")
         return
     for rep in reports:
         print(f"suite {rep.suite}: {len(rep.cells)} cells, {rep.failures} failures")
         for c in rep.cells:
             if not c.ok:
                 print(f"  FAIL {c.check} k={c.k} n={c.n}: "
-                      f"expected {c.expected}, got {c.actual}")
+                      f"expected {c.expected!s}, got {c.actual!s}")
             elif c.check == "divergence" and not quiet:
                 print(f"  divergence (expected): k={c.k} n={c.n} "
-                      f"correct={c.expected} misranged={c.actual}")
+                      f"correct={c.expected!s} misranged={c.actual!s}")
     print(f"TOTAL failures: {sum(rep.failures for rep in reports)}")
 
 

@@ -3,10 +3,12 @@
 The sequence starts with k-1 zeros followed by a one; every later term is
 the sum of its k predecessors.  Two independent engines compute it: the
 order-k rule, and the order-(k+1) two-term recurrence
-F[n+k+1] = 2*F[n+k] - F[n] it implies.  Each engine computes x**n modulo
-its own characteristic polynomial by binary powering (C. M. Fiduccia, SIAM
-J. Comput. 14, 1985), O(k**2 M(n) log n) bit operations, where ``_powers``
-finds that cheaper than stepping: for n >= 256 and 64*n >= k**5.  Otherwise
+F[n+k+1] = 2*F[n+k] - F[n] it implies.  Each engine computes x**(n//2)
+modulo its own characteristic polynomial by binary powering (C. M.
+Fiduccia, SIAM J. Comput. 14, 1985), O(k**2 M(n) log n) bit operations,
+and takes F[n] from it with k (or k+1) big products in place of a last
+squaring, where ``_powers`` finds that cheaper than stepping: for
+n >= 256 and 64*n >= k**5.  Otherwise
 it steps a window of the last k (or k+1) terms, O(n**2) bit operations.
 Both windows start at F[k-1]: the terms before it are zero seeds, which
 need no slot and add nothing to a sum, so a window holds at most
@@ -76,6 +78,26 @@ def _power_mod(taps: list[int], n: int) -> list[int]:
     return poly + [0] * (d - len(poly))
 
 
+def _power_term(taps: list[int], seeds: list[int], n: int) -> int:
+    """s[n] for s[t+d] = sum(taps[i] * s[t+i]) from the d seeds s[0..d-1].
+
+    With n = 2m + b and c = x**m modulo the polynomial of ``_power_mod``,
+    x**n = sum(c[i] * x**(m+b+i)) and s[m+b+i] = sum(c[j] * s[i+j+b]), so
+    s[n] = sum over i of c[i] * sum over j of c[j] * s[i+j+b], with s run
+    on to index 2d-1.  That last step takes d products of big numbers, and
+    d**2 of a big one by a small seed, where one more squaring would take
+    d*(d+1)/2 big products.  Only ``+`` and ``*`` touch the values.
+    """
+    d = len(taps)
+    s = list(seeds)
+    while len(s) < 2 * d:
+        s.append(sum(t * v for t, v in zip(taps, s[-d:])))
+    c = _power_mod(taps, n >> 1)
+    b = n & 1
+    return sum(ci * sum(cj * s[i + j + b] for j, cj in enumerate(c))
+               for i, ci in enumerate(c))
+
+
 def _order_k_terms(k: int) -> Iterator[int]:
     """F[0], F[1], ... by the order-k rule F[m+k] = F[m] + ... + F[m+k-1].
 
@@ -101,14 +123,14 @@ def _order_k_terms(k: int) -> Iterator[int]:
 def kfib_order_k(k: int, n: int) -> int:
     """F[n] via the order-k rule F[m+k] = F[m] + ... + F[m+k-1].
 
-    Powers x**n modulo x**k - x**(k-1) - ... - 1, whose coefficient of
-    x**(k-1) is F[n] (the seeds F[0..k-1] are zero but for F[k-1] = 1),
-    where ``_powers`` says so; otherwise takes term n of the stepping.
+    Where ``_powers`` says so, powers x**(n//2) modulo x**k - x**(k-1) -
+    ... - 1 and ends in ``_power_term`` from the seeds F[0..k-1], zero but
+    for F[k-1] = 1; otherwise takes term n of the stepping.
     """
     check_k(k)
     _check_n(n)
     if _powers(k, n):
-        return _power_mod([1] * k, n)[k - 1]
+        return _power_term([1] * k, [0] * (k - 1) + [1], n)
     return next(islice(_order_k_terms(k), n, None))
 
 
@@ -117,17 +139,16 @@ def kfib_order_k1(k: int, n: int) -> int:
 
     Seeded with F[0..k]: all zero except F[k-1] = F[k] = 1 (the value of
     F[k] follows from one step of the order-k rule).  Where ``_powers``
-    says so, powers x**n modulo x**(k+1) - 2*x**k + 1 and dots it with the
-    seeds; otherwise steps a window of at most k+1 terms from F[k-1] on,
-    taking F[m] as zero while it lies before them.
+    says so, powers x**(n//2) modulo x**(k+1) - 2*x**k + 1 and ends in
+    ``_power_term`` from those seeds; otherwise steps a window of at most
+    k+1 terms from F[k-1] on, taking F[m] as zero while it lies before them.
     """
     check_k(k)
     _check_n(n)
     if n <= k:
         return int(n >= k - 1)
     if _powers(k, n):
-        c = _power_mod([-1] + [0] * (k - 1) + [2], n)
-        return c[k - 1] + c[k]
+        return _power_term([-1] + [0] * (k - 1) + [2], [0] * (k - 1) + [1, 1], n)
     window = deque([1, 1])  # F[k-1..m+k]
     zeros = k - 1  # steps in which F[m] is a zero seed
     for _ in range(n - k):

@@ -6,6 +6,14 @@ expected, what was computed, and whether they matched; the erratum suite
 additionally reports divergences of the deliberately misranged formula as
 informative (passing) cells, since divergence there is the expected
 behavior.
+
+The identities suite computes each closed-form sum once.
+``kfib_binomial(k, n)`` and ``kfib_ordinary_alt(k, n)`` return the same
+sum as ``kfib_binomial_shifted(k, n-k+2)``, so the ``shifted-sum``,
+``binomial-form`` and ``ordinary-alt-form`` cells at those indices share
+one value (tests check the three entry points agree), and the ``pascal``
+and ``reflection`` cells read each binom(a, b) of the window from one
+table.
 """
 
 from __future__ import annotations
@@ -13,13 +21,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .binomial import binom
-from .closed_forms import (
-    kfib_binomial,
-    kfib_binomial_shifted,
-    kfib_ordinary,
-    kfib_ordinary_alt,
-    kfib_ordinary_erroneous,
-)
+from .closed_forms import kfib_binomial_shifted, kfib_ordinary, kfib_ordinary_erroneous
 from .core import count_compositions, kfib_order_k1, kfib_table
 from .errors import DomainError
 
@@ -28,7 +30,10 @@ BINOM_WINDOW = 50
 
 
 class VerifyCell(namedtuple("VerifyCell", "check k n ok expected actual")):
-    """One check at the ints (k, n): ``ok`` if it passed, both sides as strings."""
+    """One check at the ints (k, n): ``ok`` if it passed, and both sides as
+    the values compared, not as strings: an int or a Fraction, or a string
+    where a side is already a decimal (``render.fixed``, ``Dyadic.decimal``)
+    or text.  Whatever prints a cell applies ``str`` to it."""
 
     __slots__ = ()
 
@@ -44,26 +49,26 @@ def _report(suite: str, cells: list[VerifyCell]) -> VerifyReport:
 
 
 def _cell(check: str, k: int, n: int, expected, actual, ok: bool | None = None) -> VerifyCell:
-    """A cell with both sides as strings; ``ok`` defaults to ``actual == expected``."""
-    return VerifyCell(check, k, n, actual == expected if ok is None else ok,
-                      str(expected), str(actual))
+    """A cell holding both sides; ``ok`` defaults to ``actual == expected``."""
+    return VerifyCell(check, k, n, actual == expected if ok is None else ok, expected, actual)
 
 
 def verify_engines(k_max: int = 6, n_max: int = 200) -> VerifyReport:
     cells: list[VerifyCell] = []
     for k in range(2, k_max + 1):
-        table = kfib_table(k, max(n_max, 2 * k))
+        table = kfib_table(k, n_max)
         for n in range(0, n_max + 1):
             expected = table[n]
             actual = kfib_order_k1(k, n)
             cells.append(_cell("engine-agreement", k, n, expected, actual))
-        for n in range(k, 2 * k + 1):
+        for n in range(k, min(2 * k, n_max) + 1):
             expected = 2 ** (n - k) if n < 2 * k else 2**k - 1
             actual = table[n]
             cells.append(_cell("initial-segment", k, n, expected, actual))
+    last = min(12, n_max)
     for k in range(2, min(5, k_max) + 1):
-        table = kfib_table(k, 12 + k)
-        for n in range(1, 13):
+        table = kfib_table(k, last + k - 1)
+        for n in range(1, last + 1):
             expected = count_compositions(k, n)
             actual = table[n + k - 1]
             cells.append(_cell("composition-oracle", k, n, expected, actual))
@@ -73,15 +78,17 @@ def verify_engines(k_max: int = 6, n_max: int = 200) -> VerifyReport:
 def verify_identities(k_max: int = 6, n_max: int = 200) -> VerifyReport:
     cells: list[VerifyCell] = []
     w = BINOM_WINDOW
+    # binom over [-w-1, w]**2, every pair the Pascal cells read
+    row = range(-w - 1, w + 1)
+    binoms = {(a, b): binom(a, b) for a in row for b in row}
     for a in range(-w, w + 1):
         for b in range(-w, w + 1):
+            actual = binoms[a, b]
             if (a, b) != (0, 0):
-                expected = binom(a - 1, b - 1) + binom(a - 1, b)
-                actual = binom(a, b)
+                expected = binoms[a - 1, b - 1] + binoms[a - 1, b]
                 cells.append(_cell("pascal", a, b, expected, actual))
             exponent = b - 1 if b <= a < 0 else b
             expected = (-1) ** (exponent % 2) * binom(b - a - 1, b)
-            actual = binom(a, b)
             cells.append(_cell("reflection", a, b, expected, actual))
     for k in range(2, k_max + 1):
         table = kfib_table(k, n_max + k)
@@ -97,11 +104,12 @@ def verify_identities(k_max: int = 6, n_max: int = 200) -> VerifyReport:
             if n <= n_max:
                 cells.append(_cell("sum-initial", k, n, expected, sums[n]))
         for n in range(k, n_max + 1):
-            f = table[n]
-            cells.append(_cell("binomial-form", k, n, f, kfib_binomial(k, n)))
+            # kfib_binomial(k, n) and kfib_ordinary_alt(k, n), by construction
+            f, shared = table[n], sums[n - k + 2]
+            cells.append(_cell("binomial-form", k, n, f, shared))
             if n != 2 * k - 1:
                 cells.append(_cell("ordinary-form", k, n, f, kfib_ordinary(k, n)))
-            cells.append(_cell("ordinary-alt-form", k, n, f, kfib_ordinary_alt(k, n)))
+            cells.append(_cell("ordinary-alt-form", k, n, f, shared))
     return _report("identities", cells)
 
 

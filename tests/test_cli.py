@@ -16,10 +16,10 @@ from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import kfib
-from kfib import cli, dominant_root, render, verify
+from kfib import cli, closed_forms, dominant_root, render, verify
 from kfib.cli import run
 from kfib.core import kfib_order_k
-from kfib.verify import verify_erratum, verify_series
+from kfib.verify import verify_erratum, verify_identities, verify_series
 
 
 def run_capture(capsys, *argv):
@@ -273,6 +273,19 @@ def test_verify_series_stays_in_its_range(capsys):
                        ("asymptotic-series", 0)}
 
 
+def test_verify_engines_stays_in_its_range(capsys):
+    # initial-segment runs n = k..2k and composition-oracle n = 1..12, each
+    # cut at --n-max like engine-agreement
+    code, out, _ = run_capture(capsys, "--format", "csv", "verify", "--suite", "engines",
+                               "--k-max", "3", "--n-max", "4")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert rows and all(int(n) <= 4 for _, _, _, n, *_ in rows)
+    segment = {(int(k), int(n)) for _, check, k, n, *_ in rows if check == "initial-segment"}
+    assert segment == {(2, 2), (2, 3), (2, 4), (3, 3), (3, 4)}
+    assert sum(check == "composition-oracle" for _, check, *_ in rows) == 2 * 4
+
+
 def test_verify_series_strings_are_exactly_rounded():
     # the partial-sum-vs-ball cells show both sides as render.fixed of the
     # exact rational: through a float, 11 of these 84 strings were off in
@@ -301,6 +314,18 @@ def test_verify_series_strings_are_exactly_rounded():
            if c.check in {"power-sum-vs-root", "ratio-sum-identity", "asymptotic-series"}}
     assert got == want and len(got) == 42
     assert got["asymptotic-series", 3, 20][1] == "66012.001073266359"
+
+
+def test_verify_identities_sums_each_reflected_sum_once(monkeypatch):
+    # binomial-form and ordinary-alt-form read the shifted sum of the same
+    # (k, m0), not a second and third copy of it
+    calls = []
+    reflected = closed_forms._reflected_sum
+    monkeypatch.setattr(closed_forms, "_reflected_sum",
+                        lambda k, m0, e0: calls.append((k, m0)) or reflected(k, m0, e0))
+    report = verify_identities(3, 30)
+    assert report.failures == 0
+    assert sorted(calls) == [(k, m0) for k in (2, 3) for m0 in range(1, 30)]
 
 
 def test_verify_erratum_counts_divergences():
@@ -833,6 +858,7 @@ GOLDEN_STDOUT = {
     "--format csv verify --suite engines --k-max 4 --n-max 40": "50660e9e29169bb5abea6c0951ee78c60d3e5d2b173c98e4835d0fc610100241",
     "--quiet verify --suite erratum --k-max 6 --n-max 40": "9e80c134fe29f0ab85e637915c415a18b2cf6286d434c863fe280d40c314e72c",
     "--format json verify --suite identities --k-max 3 --n-max 30": "7f8765a36b9f5c4d3ca48129496838938677bfaa49f0a01b86e9b9ce18603f7a",
+    "--format csv verify --suite identities --k-max 3 --n-max 30": "6441b037ae22e6c8af004a3422289e668a6f354144d49227d3fe836601c777a6",
     "--format json verify --suite series --k-max 3 --n-max 10": "511a0175c81ed0ee983b3e5ce1776d33d0c211913c37b0f9bfd39b891b85b0f1",
     "verify --k-max 3 --n-max 20": "caee374605f7ec5471df44fdea0cf0e6035cac68cc891477e055ba0cf29c0370",
     "verify --suite engines": "01e3348b41bbc6c10e4417517fdf228e2328088686238d25c07cee969c27c2a5",

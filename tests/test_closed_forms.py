@@ -66,9 +66,11 @@ def test_fib_binomial_known_values():
 
 
 def test_binomial_form_equals_shifted_sum():
+    # verify's identities suite reads all three entry points from one sum
     for k in range(2, 7):
-        for n in range(k, 90):
-            assert kfib_binomial(k, n) == kfib_binomial_shifted(k, n - k + 2)
+        for n in range(k, 201):
+            shifted = kfib_binomial_shifted(k, n - k + 2)
+            assert kfib_binomial(k, n) == shifted == kfib_ordinary_alt(k, n), (k, n)
 
 
 def test_ordinary_known_values():

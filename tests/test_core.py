@@ -90,7 +90,8 @@ def test_rule_routes_only_large_n_to_powering(monkeypatch):
                         lambda taps, n: calls.append((len(taps), n)) or power_mod(taps, n))
     kfib_order_k(3, 4096)
     kfib_order_k1(3, 4096)
-    assert calls == [(3, 4096), (4, 4096)]
+    # each route powers to n // 2 and takes F[n] from that in one last step
+    assert calls == [(3, 2048), (4, 2048)]
     for k, n in ((3, 100), (40, 4096), (100, 10**4)):
         kfib_order_k(k, n)
         kfib_order_k1(k, n)
