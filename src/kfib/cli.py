@@ -21,11 +21,14 @@ command line prints a ``usage:`` line and ``kfib: error: ...`` on stderr.
 Exit codes: 0 success, 2 usage error, 3 domain error (including a series
 whose tail bound would need terms past the probe cap, a ``--tol`` outside
 [1e-400, 1e400], and a verify range with no cells), 4 verification
-failure, 5 a certificate that failed to verify (an internal error).
+failure, 5 a certificate that failed to verify (an internal error), and
+141 (128 + SIGPIPE, what a shell reports for a writer that SIGPIPE ends)
+when the reader closes stdout before the output ends, as ``| head`` does.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 from collections import namedtuple
@@ -370,8 +373,19 @@ def run(argv: list[str] | None = None) -> int:
             sys.set_int_max_str_digits(limit)
 
 
+#: exit code when the reader closes stdout early: 128 + SIGPIPE
+EXIT_PIPE_CLOSED = 141
+
+
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # a closed pipe shows here, not at shutdown
+    except BrokenPipeError:
+        # stdout now points at devnull, so the flush at shutdown stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_PIPE_CLOSED
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -13,17 +13,25 @@ last index, whose value is N * 2**(e0 - (k+1)*L).  Where that exponent is
 negative the claim "this truncated series is an integer" becomes "the low
 bits of N are zero", and it is executed on every call rather than assumed.
 
-Two of the formulas use only ordinary binomial coefficients (nonnegative
-entries); a deliberately misranged variant of one of them is kept as a
-regression artifact because a published version of the formula used that
-wrong summation range.
+The four formulas are one sum.  ``kfib_binomial`` and
+``kfib_binomial_shifted`` sum the coefficients binom(top, el) -
+binom(top, el-1) on the row m0 = n-k+1 (resp. n-1); reflecting their
+negative tops turns them into the ordinary (-1)**el * (C(m, el) +
+C(m-1, el-1)) of ``kfib_ordinary_alt``; and Pascal's rule applied twice
+turns ``kfib_ordinary``'s (-1)**el * (C(m+1, el) - C(m-1, el-2)) into
+that same coefficient, over the same range and powers of two.  So every
+form walks ``_reflected_sum`` once.  A deliberately misranged variant of
+the ordinary formula is kept as a regression artifact, because a
+published version of the formula used that wrong summation range: it is
+the same sum with at most one term appended.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from itertools import chain
+from itertools import chain, count
 from math import perm
+from operator import add, floordiv, mul
 
 from .binomial import binom
 from .errors import DomainError, IntegralityError, check_k
@@ -70,22 +78,18 @@ def _negative_top_row(k: int, m0: int, last: int) -> Iterator[int]:
     yield a
 
 
-def _reflected_sum(k: int, m0: int, e0: int) -> int:
-    """Sum of (binom(top, el) - binom(top, el-1)) * 2**(e0 - (k+1)*el)
-    over 0 <= el <= m0 // (k+1), top = (k+1)*el - m0 - 1.
+def _reflected_sum(k: int, m0: int, e0: int) -> tuple[int, int]:
+    """(N, e) with N * 2**e the sum of (binom(top, el) - binom(top, el-1)) *
+    2**(e0 - (k+1)*el) over 0 <= el <= m0 // (k+1), top = (k+1)*el - m0 - 1.
 
     Every top is negative, and reflecting both coefficients gives
     (-1)**el * (C(m, el) + C(m-1, el-1)) = binom(top, el) * (m+el) / m
     with m = m0 - k*el >= el, m >= 1.
     """
-
-    def coeffs() -> Iterator[int]:
-        m = m0
-        for el, b in enumerate(_negative_top_row(k, m0, m0 // (k + 1))):
-            yield b * (m + el) // m
-            m -= k
-
-    return _exact_int(*_shift_sum(coeffs(), k, e0))
+    last = m0 // (k + 1)
+    ms = range(m0, m0 - k * last - 1, -k)
+    row = _negative_top_row(k, m0, last)
+    return _shift_sum(map(floordiv, map(mul, row, map(add, ms, count())), ms), k, e0)
 
 
 def kfib_binomial_shifted(k: int, n: int) -> int:
@@ -98,7 +102,7 @@ def kfib_binomial_shifted(k: int, n: int) -> int:
     check_k(k)
     if type(n) is not int or n < 2:
         raise DomainError(f"n must be an integer >= 2, got {n!r}")
-    return _reflected_sum(k, n - 1, n - 2)
+    return _exact_int(*_reflected_sum(k, n - 1, n - 2))
 
 
 def kfib_binomial(k: int, n: int) -> int:
@@ -110,7 +114,7 @@ def kfib_binomial(k: int, n: int) -> int:
     check_k(k)
     if type(n) is not int or n < k:
         raise DomainError(f"n must be an integer >= k={k}, got {n!r}")
-    return _reflected_sum(k, n - k + 1, n - k)
+    return _exact_int(*_reflected_sum(k, n - k + 1, n - k))
 
 
 def _ordinary_term(k: int, n: int, el: int) -> int:
@@ -120,32 +124,14 @@ def _ordinary_term(k: int, n: int, el: int) -> int:
     return -coeff if el & 1 else coeff
 
 
-def _ordinary_sum(k: int, n: int, upper: int | None = None) -> tuple[int, int]:
-    """(N, e) with N * 2**e the sum over 0 <= el <= upper of (-1)**el *
-    (C(m+1, el) - C(m-1, el-2)) * 2**(n-k - (k+1)*el), m = n-k+1 - k*el: the
-    alternating ordinary-binomial sum, without the excluded-index gate.
-
-    ``upper`` defaults to the correct limit L = floor((n-k+1)/(k+1)).  Up to
-    L, with m' = m+1 >= 2, each coefficient is
-    binom(top, el) * (m'-el) * (m'+el-1) / (m' * (m'-1)),
-    top = (k+1)*el - (n-k+3); past L it comes from the definition.
-    """
-    last = (n - k + 1) // (k + 1)
-    if upper is None:
-        upper = last
-
-    def coeffs() -> Iterator[int]:
-        m = n - k + 2
-        for el, b in enumerate(_negative_top_row(k, m, min(upper, last))):
-            yield b * ((m - el) * (m + el - 1)) // (m * (m - 1))
-            m -= k
-
-    tail = (_ordinary_term(k, n, el) for el in range(last + 1, upper + 1))
-    return _shift_sum(chain(coeffs(), tail), k, n - k)
-
-
 def kfib_ordinary(k: int, n: int) -> int:
     """F[n] as an alternating sum of ordinary binomial coefficients.
+
+    Its terms are (-1)**el * (C(m+1, el) - C(m-1, el-2)) * 2**(n-k - (k+1)*el),
+    m = n-k+1 - k*el, for 0 <= el <= floor((n-k+1)/(k+1)).  Pascal's rule
+    applied twice, C(m+1, el) = C(m, el) + C(m-1, el-1) + C(m-1, el-2),
+    makes each coefficient C(m, el) + C(m-1, el-1), that of
+    ``kfib_ordinary_alt`` over the same range, so this is the same sum.
 
     The index n = 2k-1 is excluded: the identity this formula is derived
     through degenerates there, so the input is refused rather than
@@ -159,7 +145,7 @@ def kfib_ordinary(k: int, n: int) -> int:
             f"n = 2k-1 = {n} is excluded from the ordinary-binomial formula; "
             "use another method for this index"
         )
-    return _exact_int(*_ordinary_sum(k, n))
+    return _exact_int(*_reflected_sum(k, n - k + 1, n - k))
 
 
 def kfib_ordinary_alt(k: int, n: int) -> int:
@@ -172,7 +158,7 @@ def kfib_ordinary_alt(k: int, n: int) -> int:
     check_k(k)
     if type(n) is not int or n < k:
         raise DomainError(f"n must be an integer >= k={k}, got {n!r}")
-    return _reflected_sum(k, n - k + 1, n - k)
+    return _exact_int(*_reflected_sum(k, n - k + 1, n - k))
 
 
 def kfib_ordinary_erroneous(k: int, n: int) -> Dyadic:
@@ -181,12 +167,19 @@ def kfib_ordinary_erroneous(k: int, n: int) -> Dyadic:
     Reproduces a known-wrong published variant of the formula.  The result
     is returned as an exact dyadic rational because it need not be an
     integer; it coincides with F[n] for every n only when k = 2.  Kept so
-    the test suite can exhibit inputs where the extra terms matter.
+    the test suite can exhibit inputs where the extra terms matter.  Up to
+    the correct limit L = floor((n-k+1)/(k+1)) it is ``kfib_ordinary``'s
+    sum; past it, at most one term (floor((n-1)/(k+1)) - L <= 1), taken
+    from the definition and appended by one more Horner step.
     """
     from .dyadic import Dyadic  # the one value here that need not be an integer
 
     check_k(k)
     if type(n) is not int or n < k:
         raise DomainError(f"n must be an integer >= k={k}, got {n!r}")
-    total, e = _ordinary_sum(k, n, (n - 1) // (k + 1))
+    total, e = _reflected_sum(k, n - k + 1, n - k)
+    tail = (_ordinary_term(k, n, el)
+            for el in range((n - k + 1) // (k + 1) + 1, (n - 1) // (k + 1) + 1))
+    # N * 2**e leads; each tail term sits 2**(k+1) below the one before it
+    total, e = _shift_sum(chain((total,), tail), k, e)
     return Dyadic(total, -e)

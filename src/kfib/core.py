@@ -8,7 +8,7 @@ modulo its own characteristic polynomial by binary powering (C. M.
 Fiduccia, SIAM J. Comput. 14, 1985), O(k**2 M(n) log n) bit operations,
 and takes F[n] from it with k (or k+1) big products in place of a last
 squaring, where ``_powers`` finds that cheaper than stepping: for
-n >= 256 and 64*n >= k**5.  Otherwise
+n >= 256 and 256*n >= k**5.  Otherwise
 it steps a window of the last k (or k+1) terms, O(n**2) bit operations.
 Both windows start at F[k-1]: the terms before it are zero seeds, which
 need no slot and add nothing to a sum, so a window holds at most
@@ -36,16 +36,18 @@ def _check_n(n: int) -> int:
 
 
 def _powers(k: int, n: int) -> bool:
-    """Whether the engines power at (k, n): ``n >= 256 and 64*n >= k**5``.
+    """Whether the engines power at (k, n): ``n >= 256 and 256*n >= k**5``.
 
     Powering costs about k**2 products of numbers of up to n bits, where
     stepping costs n additions of them, so with Karatsuba's
     M(n) ~ n**1.585 the crossover n grows like k**(2 / (2 - log2(3))), or
-    about k**4.8.  The constant 64 is fitted to timings of both routes for
-    k in 2..24 and n in 2**4..2**16.  Below n = 256 the interpreter's cost
-    per operation decides instead, and powering saves microseconds at best.
+    about k**4.8.  The constant 256 is fitted to timings of both routes,
+    each ending in its d-product last step, for k in 2..24 and n from 64
+    up to four times the rule's threshold, and checked at k = 28..64.
+    Below n = 256 the interpreter's cost per operation decides instead,
+    and powering saves microseconds at best.
     """
-    return n >= 256 and 64 * n >= k**5
+    return n >= 256 and 256 * n >= k**5
 
 
 def _power_mod(taps: list[int], n: int) -> list[int]:

@@ -8,20 +8,24 @@ informative (passing) cells, since divergence there is the expected
 behavior.
 
 The identities suite computes each closed-form sum once.
-``kfib_binomial(k, n)`` and ``kfib_ordinary_alt(k, n)`` return the same
-sum as ``kfib_binomial_shifted(k, n-k+2)``, so the ``shifted-sum``,
-``binomial-form`` and ``ordinary-alt-form`` cells at those indices share
-one value (tests check the three entry points agree), and the ``pascal``
-and ``reflection`` cells read each binom(a, b) of the window from one
-table.
+``kfib_binomial(k, n)``, ``kfib_ordinary(k, n)`` and
+``kfib_ordinary_alt(k, n)`` return the same sum as
+``kfib_binomial_shifted(k, n-k+2)`` (the four forms are one reflected
+sum; see ``closed_forms``), so the ``shifted-sum``,
+``binomial-form``, ``ordinary-form`` and ``ordinary-alt-form`` cells at
+those indices share one value (tests check the four entry points agree),
+and the ``pascal`` and ``reflection`` cells read each binom(a, b) of the
+window from one table.  Its cells are built a column at a time.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import chain, repeat
+from operator import add, attrgetter, countOf, eq, mul
 
 from .binomial import binom
-from .closed_forms import kfib_binomial_shifted, kfib_ordinary, kfib_ordinary_erroneous
+from .closed_forms import kfib_binomial_shifted, kfib_ordinary_erroneous
 from .core import count_compositions, kfib_order_k1, kfib_table
 from .errors import DomainError
 
@@ -45,12 +49,20 @@ class VerifyReport(namedtuple("VerifyReport", "suite cells failures")):
 
 
 def _report(suite: str, cells: list[VerifyCell]) -> VerifyReport:
-    return VerifyReport(suite, tuple(cells), sum(not c.ok for c in cells))
+    return VerifyReport(suite, tuple(cells), countOf(map(attrgetter("ok"), cells), False))
 
 
 def _cell(check: str, k: int, n: int, expected, actual, ok: bool | None = None) -> VerifyCell:
     """A cell holding both sides; ``ok`` defaults to ``actual == expected``."""
     return VerifyCell(check, k, n, actual == expected if ok is None else ok, expected, actual)
+
+
+def _column(check: str, k: int, ns, expected, actual) -> list[VerifyCell]:
+    """One check's cells at k from parallel columns ``ns``, ``expected`` and
+    ``actual`` (sequences), as long as the shortest; each is ok where
+    ``actual == expected``."""
+    return list(map(VerifyCell._make, zip(repeat(check), repeat(k), ns, map(eq, actual, expected),
+                                          expected, actual)))
 
 
 def verify_engines(k_max: int = 6, n_max: int = 200) -> VerifyReport:
@@ -78,38 +90,42 @@ def verify_engines(k_max: int = 6, n_max: int = 200) -> VerifyReport:
 def verify_identities(k_max: int = 6, n_max: int = 200) -> VerifyReport:
     cells: list[VerifyCell] = []
     w = BINOM_WINDOW
-    # binom over [-w-1, w]**2, every pair the Pascal cells read
-    row = range(-w - 1, w + 1)
-    binoms = {(a, b): binom(a, b) for a in row for b in row}
+    # binom over [-w-1, w]**2, every pair the Pascal cells read; row a
+    # holds b = -w-1..w, so row[1:] is the window's b = -w..w
+    rows = {a: [binom(a, b) for b in range(-w - 1, w + 1)] for a in range(-w - 1, w + 1)}
+    bs = range(-w, w + 1)
+    # reflection: binom(a, b) = (-1)**e * binom(b-a-1, b), e = b-1 where
+    # b <= a < 0 and e = b elsewhere
+    signs = [-1 if b & 1 else 1 for b in bs]
     for a in range(-w, w + 1):
-        for b in range(-w, w + 1):
-            actual = binoms[a, b]
-            if (a, b) != (0, 0):
-                expected = binoms[a - 1, b - 1] + binoms[a - 1, b]
-                cells.append(_cell("pascal", a, b, expected, actual))
-            exponent = b - 1 if b <= a < 0 else b
-            expected = (-1) ** (exponent % 2) * binom(b - a - 1, b)
-            cells.append(_cell("reflection", a, b, expected, actual))
+        actual, up = rows[a][1:], rows[a - 1]
+        pascal = list(map(add, up, up[1:]))
+        sign = signs if a >= 0 else [-s for s in signs[:a + w + 1]] + signs[a + w + 1:]
+        reflected = list(map(mul, sign, map(binom, range(-w - a - 1, w - a), bs)))
+        # per (a, b) a pascal cell, then a reflection cell
+        window = list(chain.from_iterable(zip(_column("pascal", a, bs, pascal, actual),
+                                              _column("reflection", a, bs, reflected, actual))))
+        if a == 0:
+            del window[2 * w]  # no pascal cell at (0, 0)
+        cells += window
     for k in range(2, k_max + 1):
         table = kfib_table(k, n_max + k)
-        sums = {n: kfib_binomial_shifted(k, n) for n in range(2, n_max + 1)}
-        for n in range(2, n_max + 1):
-            cells.append(_cell("shifted-sum", k, n, table[n + k - 2], sums[n]))
-        for n in range(2, n_max - k):
-            expected = 2 * sums[n + k] - sums[n]
-            actual = sums[n + k + 1]
-            cells.append(_cell("sum-recurrence", k, n, expected, actual))
-        for n in range(2, k + 3):
-            expected = 2 ** (n - 2) if n <= k + 1 else 2**k - 1
-            if n <= n_max:
-                cells.append(_cell("sum-initial", k, n, expected, sums[n]))
-        for n in range(k, n_max + 1):
-            # kfib_binomial(k, n) and kfib_ordinary_alt(k, n), by construction
-            f, shared = table[n], sums[n - k + 2]
-            cells.append(_cell("binomial-form", k, n, f, shared))
-            if n != 2 * k - 1:
-                cells.append(_cell("ordinary-form", k, n, f, kfib_ordinary(k, n)))
-            cells.append(_cell("ordinary-alt-form", k, n, f, shared))
+        # sums[n] = kfib_binomial_shifted(k, n) for n >= 2
+        sums = [0, 0, *map(kfib_binomial_shifted, repeat(k), range(2, n_max + 1))]
+        cells += _column("shifted-sum", k, range(2, n_max + 1), table[k:], sums[2:])
+        cells += _column("sum-recurrence", k, range(2, n_max - k),
+                         [2 * u - v for u, v in zip(sums[k + 2:], sums[2:])], sums[k + 3:])
+        initial = [2 ** (n - 2) for n in range(2, k + 2)] + [2**k - 1]
+        cells += _column("sum-initial", k, range(2, min(k + 2, n_max) + 1), initial, sums[2:])
+        # kfib_binomial(k, n), kfib_ordinary(k, n) and kfib_ordinary_alt(k, n)
+        # all return sums[n-k+2] by construction
+        ns, f, shared = range(k, n_max + 1), table[k:n_max + 1], sums[2:]
+        forms = list(chain.from_iterable(zip(*(
+            _column(check, k, ns, f, shared)
+            for check in ("binomial-form", "ordinary-form", "ordinary-alt-form")))))
+        if 2 * k - 1 <= n_max:
+            del forms[3 * (k - 1) + 1]  # no ordinary-form cell at n = 2k-1
+        cells += forms
     return _report("identities", cells)
 
 

@@ -317,15 +317,19 @@ def test_verify_series_strings_are_exactly_rounded():
 
 
 def test_verify_identities_sums_each_reflected_sum_once(monkeypatch):
-    # binomial-form and ordinary-alt-form read the shifted sum of the same
-    # (k, m0), not a second and third copy of it
-    calls = []
-    reflected = closed_forms._reflected_sum
+    # binomial-form, ordinary-form and ordinary-alt-form read the shifted sum
+    # of the same (k, m0), not further copies of it, and no other route
+    # walks a coefficient row
+    calls, walks = [], []
+    reflected, row = closed_forms._reflected_sum, closed_forms._negative_top_row
     monkeypatch.setattr(closed_forms, "_reflected_sum",
                         lambda k, m0, e0: calls.append((k, m0)) or reflected(k, m0, e0))
+    monkeypatch.setattr(closed_forms, "_negative_top_row",
+                        lambda k, m0, last: walks.append((k, m0)) or row(k, m0, last))
     report = verify_identities(3, 30)
     assert report.failures == 0
-    assert sorted(calls) == [(k, m0) for k in (2, 3) for m0 in range(1, 30)]
+    expected = [(k, m0) for k in (2, 3) for m0 in range(1, 30)]
+    assert sorted(calls) == sorted(walks) == expected
 
 
 def test_verify_erratum_counts_divergences():
@@ -492,6 +496,19 @@ def test_module_entry_point_matches_run(capsys, argv):
     proc = subprocess.run([sys.executable, "-m", "kfib.cli", *argv], env=_child_env(),
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout) == (code, out)
+
+
+def test_reader_closing_stdout_early_exits_141_quietly():
+    # the identities csv (~1 MB) outruns the pipe buffer, so the writer is
+    # still printing when the reader goes away after one line
+    proc = subprocess.Popen([sys.executable, "-m", "kfib.cli", "--format", "csv", "verify",
+                             "--suite", "identities"], env=_child_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"suite,check,k,n,pass,expected,actual\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == cli.EXIT_PIPE_CLOSED == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 # -- series output pinned at the benchmark's sizes -------------------------
@@ -859,6 +876,7 @@ GOLDEN_STDOUT = {
     "--quiet verify --suite erratum --k-max 6 --n-max 40": "9e80c134fe29f0ab85e637915c415a18b2cf6286d434c863fe280d40c314e72c",
     "--format json verify --suite identities --k-max 3 --n-max 30": "7f8765a36b9f5c4d3ca48129496838938677bfaa49f0a01b86e9b9ce18603f7a",
     "--format csv verify --suite identities --k-max 3 --n-max 30": "6441b037ae22e6c8af004a3422289e668a6f354144d49227d3fe836601c777a6",
+    "--format csv verify --suite identities --k-max 6 --n-max 60": "70a82a930567b4198d4f8858a1b321af273bf7e59c8835c3dbeb00dc0d6f6049",
     "--format json verify --suite series --k-max 3 --n-max 10": "511a0175c81ed0ee983b3e5ce1776d33d0c211913c37b0f9bfd39b891b85b0f1",
     "verify --k-max 3 --n-max 20": "caee374605f7ec5471df44fdea0cf0e6035cac68cc891477e055ba0cf29c0370",
     "verify --suite engines": "01e3348b41bbc6c10e4417517fdf228e2328088686238d25c07cee969c27c2a5",

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from kfib.binomial import binom
 from kfib.closed_forms import (
     _exact_int,
     _negative_top_row,
-    _ordinary_sum,
+    _reflected_sum,
     kfib_binomial,
     kfib_binomial_shifted,
     kfib_ordinary,
@@ -66,11 +67,32 @@ def test_fib_binomial_known_values():
 
 
 def test_binomial_form_equals_shifted_sum():
-    # verify's identities suite reads all three entry points from one sum
+    # verify's identities suite reads all four entry points from one sum
     for k in range(2, 7):
         for n in range(k, 201):
             shifted = kfib_binomial_shifted(k, n - k + 2)
             assert kfib_binomial(k, n) == shifted == kfib_ordinary_alt(k, n), (k, n)
+            if n != 2 * k - 1:
+                assert kfib_ordinary(k, n) == shifted, (k, n)
+
+
+@cache
+def _oracle_binom(a, b):
+    # C(a, b) for a >= 0, zero outside 0 <= b <= a
+    return factorial_binom(a, b) if 0 <= b <= a else 0
+
+
+def test_ordinary_coefficient_is_the_reflected_one():
+    # Pascal's rule twice: C(m+1, l) - C(m-1, l-2) == C(m, l) + C(m-1, l-1),
+    # m = n-k+1 - k*l, over the correct range 0 <= l <= (n-k+1) // (k+1),
+    # where m >= max(l, 1); so kfib_ordinary sums kfib_ordinary_alt's terms
+    for k in range(2, 10):
+        for n in range(k, 301):
+            for el in range((n - k + 1) // (k + 1) + 1):
+                m = n - k + 1 - k * el
+                assert m >= max(el, 1), (k, n, el)
+                ordinary = _oracle_binom(m + 1, el) - _oracle_binom(m - 1, el - 2)
+                assert ordinary == _oracle_binom(m, el) + _oracle_binom(m - 1, el - 1), (k, n, el)
 
 
 def test_ordinary_known_values():
@@ -91,14 +113,15 @@ def test_excluded_index_rejected():
 
 
 def test_excluded_index_would_be_value():
-    # documents what the refused formula evaluates to at n = 2k-1: the sum
-    # range is empty there, so it degenerates to 2**(k-1), which happens to
-    # equal F[2k-1]; the exclusion guards the identity's derivation, not a
-    # numeric failure at this index
+    # documents what the refused formula evaluates to at n = 2k-1: it is the
+    # reflected sum on row n-k+1 = k, whose range is empty, so it degenerates
+    # to 2**(k-1), which happens to equal F[2k-1]; the exclusion guards the
+    # identity's derivation, not a numeric failure at this index
     for k in range(2, 9):
-        would_be = _exact_int(*_ordinary_sum(k, 2 * k - 1))
+        n = 2 * k - 1
+        would_be = _exact_int(*_reflected_sum(k, n - k + 1, n - k))
         assert would_be == 2 ** (k - 1)
-        assert would_be == kfib_table(k, 2 * k - 1)[2 * k - 1]
+        assert would_be == kfib_table(k, n)[n]
 
 
 def test_domain_errors():
