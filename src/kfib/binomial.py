@@ -24,17 +24,16 @@ from math import comb, prod
 
 def binom(a: int, b: int) -> int:
     """Exact generalized binomial coefficient, total over all integer pairs."""
-    if b >= 0:
-        if a >= 0:
-            return comb(a, b)
-        # a * (a-1) * ... * (a-b+1) = (-1)**b * |a| * (|a|+1) * ... * (|a|+b-1),
-        # and that rising product over b! is the ordinary C(|a|+b-1, b)
-        c = comb(b - a - 1, b)
-        return -c if b & 1 else c
-    if a >= b:
-        # a - b >= 0, so this resolves in the first case; depth is one.
-        return binom(a, a - b)
-    return 0
+    if b < 0:
+        if a < b:
+            return 0
+        b = a - b  # binom(a, b) = binom(a, a - b), and a - b >= 0
+    if a >= 0:
+        return comb(a, b)
+    # a * (a-1) * ... * (a-b+1) = (-1)**b * |a| * (|a|+1) * ... * (|a|+b-1),
+    # and that rising product over b! is the ordinary C(|a|+b-1, b)
+    c = comb(b - a - 1, b)
+    return -c if b & 1 else c
 
 
 def binom_row(k: int, c: int) -> Iterator[int]:

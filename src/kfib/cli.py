@@ -146,11 +146,12 @@ def _emit_reports(reports: list[VerifyReport], fmt: str, quiet: bool) -> None:
         return
     for rep in reports:
         print(f"suite {rep.suite}: {len(rep.cells)} cells, {rep.failures} failures")
-        for c in rep.cells:
+        # only the failing cells and, unless quiet, the divergences
+        for c in rep.cells.select(() if quiet else ("divergence",)):
             if not c.ok:
                 print(f"  FAIL {c.check} k={c.k} n={c.n}: "
                       f"expected {c.expected!s}, got {c.actual!s}")
-            elif c.check == "divergence" and not quiet:
+            else:
                 print(f"  divergence (expected): k={c.k} n={c.n} "
                       f"correct={c.expected!s} misranged={c.actual!s}")
     print(f"TOTAL failures: {sum(rep.failures for rep in reports)}")

@@ -4,14 +4,15 @@ Each sum is a truncated Lagrange-inversion series whose terms are
 c_el * 2**(e0 - (k+1)*el) with integer coefficients c_el.  Throughout the
 summed range every binomial top (k+1)*el - m0 - 1 is negative, so each
 coefficient is (-1)**el * C(m0 - k*el, el), an ordinary binomial, times a
-small exact rational.  ``_negative_top_row`` walks that row by its term
-ratio perm(m-el, k+1) / ((el+1) * perm(m, k)), m = m0 - k*el, whose
-factors are all positive, so each entry costs two small ``perm`` products,
-one multiplication and one exact division.  The sum is accumulated by
-Horner's rule as one plain integer N = sum c_el << ((k+1)*(L-el)), L the
-last index, whose value is N * 2**(e0 - (k+1)*L).  Where that exponent is
-negative the claim "this truncated series is an integer" becomes "the low
-bits of N are zero", and it is executed on every call rather than assumed.
+small exact rational.  ``_reflected_sum`` sums it in one loop: it walks
+that row by its term ratio perm(m-el, k+1) / ((el+1) * perm(m, k)),
+m = m0 - k*el, whose factors are all positive, so each entry costs two
+small ``perm`` products, one multiplication and one exact division, and
+accumulates by Horner's rule one plain integer N = sum c_el <<
+((k+1)*(L-el)), L the last index, whose value is N * 2**(e0 - (k+1)*L).
+Where that exponent is negative the claim "this truncated series is an
+integer" becomes "the low bits of N are zero", and it is executed on every
+call rather than assumed.
 
 The four formulas are one sum.  ``kfib_binomial`` and
 ``kfib_binomial_shifted`` sum the coefficients binom(top, el) -
@@ -28,10 +29,7 @@ the same sum with at most one term appended.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
-from itertools import chain, count
 from math import perm
-from operator import add, floordiv, mul
 
 from .binomial import binom
 from .errors import DomainError, IntegralityError, check_k
@@ -39,15 +37,6 @@ from .errors import DomainError, IntegralityError, check_k
 TYPE_CHECKING = False  # true for type checkers; importing typing costs start-up time
 if TYPE_CHECKING:
     from .dyadic import Dyadic
-
-
-def _shift_sum(coeffs: Iterable[int], k: int, e0: int) -> tuple[int, int]:
-    """(N, e) with N * 2**e == sum over el of coeffs[el] * 2**(e0 - (k+1)*el)."""
-    total, e = 0, e0 + k + 1
-    for c in coeffs:
-        total = (total << (k + 1)) + c
-        e -= k + 1
-    return total, e
 
 
 def _exact_int(total: int, e: int) -> int:
@@ -60,36 +49,28 @@ def _exact_int(total: int, e: int) -> int:
     return total >> -e
 
 
-def _negative_top_row(k: int, m0: int, last: int) -> Iterator[int]:
-    """binom((k+1)*el - m0 - 1, el) for 0 <= el <= last <= m0 // (k+1).
-
-    Every top is negative, so the entry is (-1)**el * C(m, el) with
-    m = m0 - k*el, and C(m-k, el+1) = C(m, el) * perm(m-el, k+1) /
-    ((el+1) * perm(m, k)): every factor is positive, and perm(m, k) > 0
-    before the last index because m >= el + k + 1 there.  No step is taken
-    past ``last``, where perm(m, k) may be 0.  The sign alternates through
-    the divisor, -(el+1).
-    """
-    a, m = 1, m0
-    for el in range(last):
-        yield a
-        a = a * perm(m - el, k + 1) // (-(el + 1) * perm(m, k))
-        m -= k
-    yield a
-
-
 def _reflected_sum(k: int, m0: int, e0: int) -> tuple[int, int]:
     """(N, e) with N * 2**e the sum of (binom(top, el) - binom(top, el-1)) *
-    2**(e0 - (k+1)*el) over 0 <= el <= m0 // (k+1), top = (k+1)*el - m0 - 1.
+    2**(e0 - (k+1)*el) over 0 <= el <= L = m0 // (k+1), top = (k+1)*el - m0 - 1.
 
-    Every top is negative, and reflecting both coefficients gives
-    (-1)**el * (C(m, el) + C(m-1, el-1)) = binom(top, el) * (m+el) / m
-    with m = m0 - k*el >= el, m >= 1.
+    Every top is negative, so binom(top, el) = (-1)**el * C(m, el) with
+    m = m0 - k*el >= el, m >= 1, and reflecting both coefficients gives
+    (-1)**el * (C(m, el) + C(m-1, el-1)) = binom(top, el) * (m+el) / m.
+    One loop walks the row and sums it by Horner's rule, N = sum c_el <<
+    ((k+1)*(L-el)): the next entry is C(m-k, el+1) = C(m, el) *
+    perm(m-el, k+1) / ((el+1) * perm(m, k)), every factor positive, and
+    the sign alternates through the divisor, ~el = -(el+1).  perm(m, k) > 0
+    before the last index because m >= el + k + 1 there, and no step is
+    taken past L, where it may be 0.
     """
     last = m0 // (k + 1)
-    ms = range(m0, m0 - k * last - 1, -k)
-    row = _negative_top_row(k, m0, last)
-    return _shift_sum(map(floordiv, map(mul, row, map(add, ms, count())), ms), k, e0)
+    shift = k + 1
+    a, m, total = 1, m0, 0
+    for el in range(last):
+        total = (total << shift) + a * (m + el) // m
+        a = a * perm(m - el, shift) // (~el * perm(m, k))
+        m -= k
+    return (total << shift) + a * (m + last) // m, e0 - shift * last
 
 
 def kfib_binomial_shifted(k: int, n: int) -> int:
@@ -161,6 +142,18 @@ def kfib_ordinary_alt(k: int, n: int) -> int:
     return _exact_int(*_reflected_sum(k, n - k + 1, n - k))
 
 
+def _erroneous_sum(k: int, n: int) -> tuple[int, int]:
+    """(N, e) with N * 2**e the misranged sum of ``kfib_ordinary_erroneous``:
+    ``kfib_ordinary``'s sum, then at most one more Horner step for the term
+    past the correct limit, taken from the definition."""
+    total, e = _reflected_sum(k, n - k + 1, n - k)
+    for el in range((n - k + 1) // (k + 1) + 1, (n - 1) // (k + 1) + 1):
+        # each tail term sits 2**(k+1) below the one before it
+        total = (total << (k + 1)) + _ordinary_term(k, n, el)
+        e -= k + 1
+    return total, e
+
+
 def kfib_ordinary_erroneous(k: int, n: int) -> Dyadic:
     """The ordinary-binomial sum with its range misextended to floor((n-1)/(k+1)).
 
@@ -169,17 +162,13 @@ def kfib_ordinary_erroneous(k: int, n: int) -> Dyadic:
     integer; it coincides with F[n] for every n only when k = 2.  Kept so
     the test suite can exhibit inputs where the extra terms matter.  Up to
     the correct limit L = floor((n-k+1)/(k+1)) it is ``kfib_ordinary``'s
-    sum; past it, at most one term (floor((n-1)/(k+1)) - L <= 1), taken
-    from the definition and appended by one more Horner step.
+    sum; past it, at most one term (floor((n-1)/(k+1)) - L <= 1), see
+    ``_erroneous_sum``.
     """
     from .dyadic import Dyadic  # the one value here that need not be an integer
 
     check_k(k)
     if type(n) is not int or n < k:
         raise DomainError(f"n must be an integer >= k={k}, got {n!r}")
-    total, e = _reflected_sum(k, n - k + 1, n - k)
-    tail = (_ordinary_term(k, n, el)
-            for el in range((n - k + 1) // (k + 1) + 1, (n - 1) // (k + 1) + 1))
-    # N * 2**e leads; each tail term sits 2**(k+1) below the one before it
-    total, e = _shift_sum(chain((total,), tail), k, e)
+    total, e = _erroneous_sum(k, n)
     return Dyadic(total, -e)

@@ -5,17 +5,19 @@ the sum of its k predecessors.  Two independent engines compute it: the
 order-k rule, and the order-(k+1) two-term recurrence
 F[n+k+1] = 2*F[n+k] - F[n] it implies.  Each engine computes x**(n//2)
 modulo its own characteristic polynomial by binary powering (C. M.
-Fiduccia, SIAM J. Comput. 14, 1985), O(k**2 M(n) log n) bit operations,
-and takes F[n] from it with k (or k+1) big products in place of a last
+Fiduccia, SIAM J. Comput. 14, 1985), squaring by Karatsuba's split once
+the coefficients are large, O(k**1.6 M(n) log n) bit operations, and
+takes F[n] from it with k (or k+1) big products in place of a last
 squaring, where ``_powers`` finds that cheaper than stepping: for
-n >= 256 and 256*n >= k**5.  Otherwise
-it steps a window of the last k (or k+1) terms, O(n**2) bit operations.
-Both windows start at F[k-1]: the terms before it are zero seeds, which
-need no slot and add nothing to a sum, so a window holds at most
-min(n-k+2, k+1) values however large k is.  ``kfib_table`` takes its terms
-from the same order-k stepping as ``kfib_order_k``.  A brute-force
-composition counter provides an oracle that shares nothing with either
-recurrence.
+n >= 256 and 256*n >= k**5.  Otherwise it takes term n of its stepping
+generator, ``_order_k_terms`` or
+``_order_k1_terms``, one per recurrence, which steps a window of the last
+k (or k+1) terms, O(n**2) bit operations.  Both windows start at F[k-1]:
+the terms before it are zero seeds, which need no slot and add nothing
+to a sum, so a window holds at most min(n-k+2, k+1) values however large
+k is.  ``kfib_table`` takes its terms from the same order-k stepping as
+``kfib_order_k``.  A brute-force composition counter provides an oracle
+that shares nothing with either recurrence.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterator
 from itertools import islice, repeat
+from operator import add
 
 from .errors import DomainError, OracleCapError, check_k
 
@@ -50,26 +53,55 @@ def _powers(k: int, n: int) -> bool:
     return n >= 256 and 256 * n >= k**5
 
 
-def _power_mod(taps: list[int], n: int) -> list[int]:
-    """Coefficients c[0..d-1] of x**n modulo x**d - sum(taps[i] * x**i).
+#: coefficient size from which ``_square`` splits: below about 2048 bits a
+#: product costs little more than the interpreter's work around it
+_SPLIT_BITS = 2048
 
-    Left-to-right binary powering, with d = len(taps): each bit squares the
-    polynomial (each cross product once, doubled), multiplies it by x on a
-    set bit (a shift), and folds every coefficient of degree >= d back down,
-    from the top, by x**t = x**(t-d) * sum(taps[i] * x**i).  For a sequence
-    obeying F[m+d] = sum(taps[i] * F[m+i]), F[n] = sum(c[i] * F[i]).
+
+def _square(poly: list[int]) -> list[int]:
+    """The 2m-1 coefficients of the square of the m-term polynomial ``poly``.
+
+    From 4 terms and ``_SPLIT_BITS`` up (read from the top coefficient) it
+    splits poly = lo + x**h * hi at h = m // 2 and takes Karatsuba's three
+    half-size squares (A. Karatsuba and Yu. Ofman, 1962):
+    poly**2 = lo**2 + x**h * ((lo + hi)**2 - lo**2 - hi**2) + x**(2h) * hi**2.
+    Below that, each cross product once, doubled.
     """
-    d = len(taps)
-    nonzero = [(i, t) for i, t in enumerate(taps) if t]
-    poly = [1]
-    for bit in bin(n)[2:]:
-        m = len(poly)
+    m = len(poly)
+    if m < 4 or poly[-1].bit_length() < _SPLIT_BITS:
         sq = [0] * (2 * m - 1)
         for i, a in enumerate(poly):
             sq[2 * i] += a * a
             a2 = a << 1
             for j in range(i + 1, m):
                 sq[i + j] += a2 * poly[j]
+        return sq
+    h = m // 2
+    lo, hi = poly[:h], poly[h:]  # hi has h or h+1 terms
+    low, high = _square(lo), _square(hi)
+    mid = _square([*map(add, lo, hi), *hi[h:]])
+    sq = [*low, 0, *high]
+    for i, c in enumerate(mid):  # mid has as many terms as high
+        sq[h + i] += c - high[i]
+    for i, c in enumerate(low):
+        sq[h + i] -= c
+    return sq
+
+
+def _power_mod(taps: list[int], n: int) -> list[int]:
+    """Coefficients c[0..d-1] of x**n modulo x**d - sum(taps[i] * x**i).
+
+    Left-to-right binary powering, with d = len(taps): each bit squares the
+    polynomial (``_square``), multiplies it by x on a set bit (a shift), and
+    folds every coefficient of degree >= d back down, from the top, by
+    x**t = x**(t-d) * sum(taps[i] * x**i).  For a sequence obeying
+    F[m+d] = sum(taps[i] * F[m+i]), F[n] = sum(c[i] * F[i]).
+    """
+    d = len(taps)
+    nonzero = [(i, t) for i, t in enumerate(taps) if t]
+    poly = [1]
+    for bit in bin(n)[2:]:
+        sq = _square(poly)
         if bit == "1":
             sq.insert(0, 0)
         for top in range(len(sq) - 1, d - 1, -1):
@@ -122,6 +154,41 @@ def _order_k_terms(k: int) -> Iterator[int]:
             total -= window.popleft()
 
 
+def _order_k1_terms(k: int) -> Iterator[int]:
+    """F[0], F[1], ... by the order-(k+1) recurrence F[m+k+1] = 2*F[m+k] - F[m].
+
+    The twin of ``_order_k_terms``: from the seeds F[k-1] = F[k] = 1 the
+    window holds F[k-1..m+k], at most k+1 terms, and F[m] counts as zero
+    while it lies before them.
+    """
+    yield from repeat(0, k - 1)
+    yield 1
+    window = deque([1, 1])  # F[k-1..m+k]
+    term = 1  # F[m+k]
+    zeros = k - 1  # steps in which F[m] is a zero seed
+    while True:
+        yield term
+        term += term
+        if zeros:
+            zeros -= 1
+        else:
+            term -= window.popleft()
+        window.append(term)
+
+
+def _powering_from(k: int, stop: int) -> int:
+    """The least n < stop at which ``_powers(k, n)`` holds, or ``stop``: the
+    rule is monotone in n, so a bisection finds it."""
+    lo, hi = 0, stop
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _powers(k, mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def kfib_order_k(k: int, n: int) -> int:
     """F[n] via the order-k rule F[m+k] = F[m] + ... + F[m+k-1].
 
@@ -142,25 +209,14 @@ def kfib_order_k1(k: int, n: int) -> int:
     Seeded with F[0..k]: all zero except F[k-1] = F[k] = 1 (the value of
     F[k] follows from one step of the order-k rule).  Where ``_powers``
     says so, powers x**(n//2) modulo x**(k+1) - 2*x**k + 1 and ends in
-    ``_power_term`` from those seeds; otherwise steps a window of at most
-    k+1 terms from F[k-1] on, taking F[m] as zero while it lies before them.
+    ``_power_term`` from those seeds; otherwise takes term n of
+    ``_order_k1_terms``.
     """
     check_k(k)
     _check_n(n)
-    if n <= k:
-        return int(n >= k - 1)
     if _powers(k, n):
         return _power_term([-1] + [0] * (k - 1) + [2], [0] * (k - 1) + [1, 1], n)
-    window = deque([1, 1])  # F[k-1..m+k]
-    zeros = k - 1  # steps in which F[m] is a zero seed
-    for _ in range(n - k):
-        if zeros:
-            zeros -= 1
-            oldest = 0
-        else:
-            oldest = window.popleft()
-        window.append(2 * window[-1] - oldest)
-    return window[-1]
+    return next(islice(_order_k1_terms(k), n, None))
 
 
 def kfib_table(k: int, n_max: int) -> tuple[int, ...]:

@@ -9,6 +9,8 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import count
+from operator import eq
 from pathlib import Path
 
 import pytest
@@ -318,18 +320,106 @@ def test_verify_series_strings_are_exactly_rounded():
 
 def test_verify_identities_sums_each_reflected_sum_once(monkeypatch):
     # binomial-form, ordinary-form and ordinary-alt-form read the shifted sum
-    # of the same (k, m0), not further copies of it, and no other route
-    # walks a coefficient row
-    calls, walks = [], []
-    reflected, row = closed_forms._reflected_sum, closed_forms._negative_top_row
+    # of the same (k, m0), not further copies of it, and the closed forms
+    # draw no coefficient from binom
+    calls, binoms = [], []
+    reflected = closed_forms._reflected_sum
     monkeypatch.setattr(closed_forms, "_reflected_sum",
                         lambda k, m0, e0: calls.append((k, m0)) or reflected(k, m0, e0))
-    monkeypatch.setattr(closed_forms, "_negative_top_row",
-                        lambda k, m0, last: walks.append((k, m0)) or row(k, m0, last))
+    monkeypatch.setattr(closed_forms, "binom", lambda a, b: binoms.append((a, b)))
     report = verify_identities(3, 30)
     assert report.failures == 0
-    expected = [(k, m0) for k in (2, 3) for m0 in range(1, 30)]
-    assert sorted(calls) == sorted(walks) == expected
+    assert sorted(calls) == [(k, m0) for k in (2, 3) for m0 in range(1, 30)]
+    assert binoms == []
+
+
+def _counted_cells(monkeypatch) -> list:
+    """Every VerifyCell that verify builds from now on, through either constructor."""
+    built, cell = [], verify.VerifyCell
+
+    class Counted:
+        def __call__(self, *fields):
+            built.append(fields)
+            return cell(*fields)
+
+        def _make(self, fields):
+            built.append(fields)
+            return cell._make(fields)
+
+    monkeypatch.setattr(verify, "VerifyCell", Counted())
+    return built
+
+
+def test_text_verify_builds_no_cell_where_nothing_fails(monkeypatch, capsys):
+    built = _counted_cells(monkeypatch)
+    code, out, _ = run_capture(capsys, "--quiet", "verify", "--k-max", "4", "--n-max", "40")
+    assert code == 0 and out.count(" 0 failures") == 4
+    assert built == []
+    # the erratum suite prints its divergences: a cell for each, and no other
+    code, out, _ = run_capture(capsys, "verify", "--suite", "erratum", "--k-max", "5",
+                               "--n-max", "30")
+    assert code == 0 and len(built) == out.count("divergence (expected)") > 0
+
+
+def test_one_wrong_sum_fails_exactly_its_cells(monkeypatch, capsys):
+    # a wrong kfib_binomial_shifted(3, 30) at n-max 30 reaches two cells: its
+    # shifted-sum cell, and the sum-recurrence cell at n = 26, whose actual
+    # side is u[n+k+1] = u[30]; every later index that would read it lies
+    # past the range
+    shifted = verify.kfib_binomial_shifted
+    monkeypatch.setattr(verify, "kfib_binomial_shifted",
+                        lambda k, n: shifted(k, n) + ((k, n) == (3, 30)))
+    f = kfib.kfib_table(3, 31)
+    u = {n: f[n + 1] for n in range(2, 31)}  # u[n] = F[n+k-2]
+    want = [("shifted-sum", 3, 30, u[30], u[30] + 1),
+            ("sum-recurrence", 3, 26, 2 * u[29] - u[26], u[30] + 1)]
+    argv = ("verify", "--suite", "identities", "--k-max", "3", "--n-max", "30")
+    code, out, _ = run_capture(capsys, *argv)
+    assert code == 4
+    assert "suite identities: " in out and " 2 failures" in out
+    assert [line for line in out.splitlines() if "FAIL" in line] == [
+        f"  FAIL {check} k={k} n={n}: expected {e}, got {a}" for check, k, n, e, a in want]
+    code, out, _ = run_capture(capsys, "--format", "csv", *argv)
+    assert code == 4
+    assert [row for row in out.splitlines() if ",False," in row] == [
+        f"identities,{check},{k},{n},False,{e},{a}" for check, k, n, e, a in want]
+
+
+def test_cell_counts_match_the_cells(monkeypatch):
+    # len and failures come from the columns, the cells from iterating
+    # them: the two agree with every fourth comparison made to fail, the
+    # skipped Pascal and ordinary-form cells among them.  The binom window
+    # is cut to 5 (its (0, 0) skip stays), and the series suite, whose
+    # cells change with n-max only where its index lists end, runs at those
+    # n-max alone: both cost a root or a window per call
+    ticks = count()
+    monkeypatch.setattr(verify, "eq", lambda a, b: eq(a, b) and next(ticks) % 4 != 0)
+    equals = verify._equals
+    monkeypatch.setattr(verify, "_equals", lambda p, v: equals(p, v) and next(ticks) % 4 != 0)
+    monkeypatch.setattr(verify, "BINOM_WINDOW", 5)
+    for k_max in range(2, 7):
+        for n_max in range(0, 61):
+            for name, sweep in verify.SWEEPS.items():
+                if name == "series" and n_max not in (0, 1, 2, 5, 10, 20, 39, 40, 41, 60):
+                    continue
+                report = sweep(k_max, n_max)
+                cells = list(report.cells)
+                assert len(report.cells) == len(cells), (name, k_max, n_max)
+                assert report.failures == sum(not c.ok for c in cells), (name, k_max, n_max)
+                if name == "identities":
+                    assert report.failures > 0
+
+
+def test_verify_engines_still_calls_the_powering_engine(monkeypatch):
+    # below n = 256 the suite steps each k once; from there on the engine
+    # powers (k <= 6), and each of those n is its own kfib_order_k1 call
+    calls = []
+    engine = verify.kfib_order_k1
+    monkeypatch.setattr(verify, "kfib_order_k1",
+                        lambda k, n: calls.append((k, n)) or engine(k, n))
+    (report,) = verify.run_suites(["engines"], 6, 300)
+    assert report.failures == 0
+    assert calls == [(k, n) for k in range(2, 7) for n in range(256, 301)]
 
 
 def test_verify_erratum_counts_divergences():
@@ -431,7 +521,9 @@ NOT_LOADED = {
         "kfib.core", "kfib.certified", "kfib.dominant_root", "kfib.verify", "kfib.dyadic"},
     ("verify", "--suite", "engines"): {"kfib.dyadic", *ANALYTIC, *RATIONALS},
     ("verify", "--suite", "identities"): {"kfib.dyadic", *ANALYTIC, *RATIONALS},
-    ("verify", "--suite", "erratum"): ANALYTIC,
+    # the erratum suite renders its divergences, exact from (N, e) pairs
+    ("verify", "--suite", "erratum"): {
+        "kfib.dyadic", *(ANALYTIC - {"kfib.render"}), *RATIONALS},
 }
 
 
@@ -451,8 +543,11 @@ def test_command_loads_only_its_layers(argv):
     assert code == 0
     assert imported == ["kfib", "kfib.cli", "kfib.errors"]
     assert not (NOT_LOADED[argv] | NEVER) & set(after)
-    if argv[-1] == "erratum":  # the probe sees what a command loads
-        assert {"kfib.dyadic", "fractions"} <= set(after)
+    # the probe sees what a command loads
+    if argv[0] == "rho":
+        assert {"fractions", "kfib.dominant_root"} <= set(after)
+    if argv[-1] == "erratum":
+        assert "kfib.render" in after
 
 
 def test_only_the_erroneous_variant_loads_dyadic():
@@ -882,6 +977,13 @@ GOLDEN_STDOUT = {
     "verify --suite engines": "01e3348b41bbc6c10e4417517fdf228e2328088686238d25c07cee969c27c2a5",
     "verify --suite identities": "dffbcf95aab4a074702d44bf177fd912c74b5a0e8c4b4137a5fb2c08d721ea5a",
     "verify --suite erratum": "8341b833c2cd19ee23346aea783d38f9ba3b00af241d9e649598e846179c569e",
+    "--format csv verify --suite identities": "bc8bb0e7054469a1189d871922fc29cabe637727bf47129c59aa4a6834898b8e",
+    "--format json verify --suite identities": "5ea27afd3f38a53758e7c1932f67ceec0c1ec04e4ec8edfd12f3e03b2d85a615",
+    "--format csv verify --suite erratum": "a058301f3d3ee3cb5b571a04adfee159a53743e6b75ea9e85cd9e32e6fd64d22",
+    "--format json verify --suite erratum": "ca44096dfae46a080660edd84707722d9b56148344f58ee05705fbdc87c58e6d",
+    "--format csv verify --suite engines": "0fcde69435b0d60919c992c86bd508cd97d913770770fdb5d81da37259ca9511",
+    "--format json verify --suite engines": "bb9866986554cf74cf2091a85b5f7aba6b8958061d02027e48703c22de9ded3f",
+    "--format csv verify --suite engines --n-max 300": "4a9ee67ba39a7966639d8c4f84fff000438c2179312bf9e4f989799e8fb0eef5",
 }
 
 

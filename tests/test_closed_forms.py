@@ -9,7 +9,6 @@ from kfib import binomial, closed_forms
 from kfib.binomial import binom
 from kfib.closed_forms import (
     _exact_int,
-    _negative_top_row,
     _reflected_sum,
     kfib_binomial,
     kfib_binomial_shifted,
@@ -177,17 +176,18 @@ def test_erroneous_agrees_at_k2():
 FORMS = (kfib_binomial, kfib_ordinary, kfib_ordinary_alt)
 
 
-def test_negative_top_row_matches_factorial_oracle():
-    # entry el is binom(top, el) with top = (k+1)*el - m0 - 1 < 0, that is
-    # (-1)**el * C(m0 - k*el, el), against factorials by a local loop
+def test_reflected_sum_matches_factorial_oracle():
+    # sum over 0 <= el <= m0 // (k+1) of (-1)**el * (C(m, el) + C(m-1, el-1))
+    # * 2**(e0 - (k+1)*el), m = m0 - k*el, against factorials by a local loop
     for k in range(2, 10):
         for m0 in range(1, 301):
-            last = m0 // (k + 1)
-            row = list(_negative_top_row(k, m0, last))
-            assert len(row) == last + 1, (k, m0)
-            for el, entry in enumerate(row):
-                c = factorial_binom(m0 - k * el, el)
-                assert entry == (-c if el & 1 else c), (k, m0, el)
+            want = Fraction(0)
+            for el in range(m0 // (k + 1) + 1):
+                m = m0 - k * el
+                c = factorial_binom(m, el) + (factorial_binom(m - 1, el - 1) if el else 0)
+                want += (-c if el & 1 else c) * Fraction(2) ** (-(k + 1) * el)
+            total, e = _reflected_sum(k, m0, 0)
+            assert total * Fraction(2) ** e == want, (k, m0)
 
 
 def _misranged_tail(k, n):
@@ -223,15 +223,15 @@ def test_every_closed_form_matches_order_k_wide(k, n):
 
 def test_corrupted_coefficient_raises(monkeypatch):
     # the last coefficient carries weight 2**-1 when (k+1) divides the
-    # range's top, so adding one to it must trip the integrality check
-    original = closed_forms._shift_sum
+    # range's top, so adding one to it (one to N, the Horner sum whose
+    # lowest digit it is) must trip the integrality check
+    original = closed_forms._reflected_sum
 
-    def corrupted(coeffs, k, e0):
-        coeffs = list(coeffs)
-        coeffs[-1] += 1
-        return original(coeffs, k, e0)
+    def corrupted(k, m0, e0):
+        total, e = original(k, m0, e0)
+        return total + 1, e
 
-    monkeypatch.setattr(closed_forms, "_shift_sum", corrupted)
+    monkeypatch.setattr(closed_forms, "_reflected_sum", corrupted)
     for k in (2, 3, 7):
         n = 5 * (k + 1) + k - 1  # (k+1) divides n-k+1
         for form in FORMS:

@@ -1,5 +1,7 @@
+import random
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -83,6 +85,33 @@ def test_each_route_matches_oracle(monkeypatch, route):
             assert kfib_order_k1(k, n) == expected, (k, n)
 
 
+def test_order_k1_terms_match_stepping_oracle():
+    for k in range(2, 13):
+        assert list(islice(core._order_k1_terms(k), 300)) == [
+            kfib_stepping(k, n) for n in range(300)], k
+
+
+def test_square_matches_schoolbook_product(monkeypatch):
+    # signed coefficients below the split size, past it (Karatsuba's
+    # split), and of mixed sizes under a large top coefficient
+    rng = random.Random(16)
+    big = core._SPLIT_BITS + 200
+    square, calls = core._square, []
+    monkeypatch.setattr(core, "_square", lambda poly: calls.append(len(poly)) or square(poly))
+    for m in range(1, 21):
+        mixed = [rng.choice((1, 200, big)) for _ in range(m - 1)] + [big]
+        for sizes in ([200] * m, [big] * m, mixed):
+            poly = [rng.randrange(-2**bits, 2**bits) for bits in sizes]
+            want = [0] * (2 * m - 1)
+            for i, a in enumerate(poly):
+                for j, b in enumerate(poly):
+                    want[i + j] += a * b
+            calls.clear()
+            assert core._square(poly) == want, (m, sizes)
+            # one call where it does not split, three more per split
+            assert len(calls) == 1 if m < 4 or sizes[-1] == 200 else len(calls) >= 4
+
+
 def test_rule_routes_only_large_n_to_powering(monkeypatch):
     calls = []
     power_mod = core._power_mod
@@ -107,6 +136,15 @@ def _first_powered_n(k: int) -> int:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if core._powers(k, mid) else (mid, hi)
     return hi
+
+
+def test_powering_from_finds_the_rule_boundary():
+    # the first n < stop at which the rule powers, else stop
+    for k in range(2, 31):
+        n0 = _first_powered_n(k)
+        assert core._powering_from(k, n0 + 10) == n0, k
+        assert core._powering_from(k, n0) == n0, k
+        assert core._powering_from(k, n0 - 1) == n0 - 1, k
 
 
 MERSENNE_61 = 2**61 - 1
