@@ -41,14 +41,16 @@ def _check_n(n: int) -> int:
 def _powers(k: int, n: int) -> bool:
     """Whether the engines power at (k, n): ``n >= 256 and 256*n >= k**5``.
 
-    Powering costs about k**2 products of numbers of up to n bits, where
-    stepping costs n additions of them, so with Karatsuba's
-    M(n) ~ n**1.585 the crossover n grows like k**(2 / (2 - log2(3))), or
-    about k**4.8.  The constant 256 is fitted to timings of both routes,
-    each ending in its d-product last step, for k in 2..24 and n from 64
-    up to four times the rule's threshold, and checked at k = 28..64.
-    Below n = 256 the interpreter's cost per operation decides instead,
-    and powering saves microseconds at best.
+    Powering takes about log2(n) squarings of numbers of up to n bits, each
+    k(k+1)/2 products, or about k**1.6 once ``_square`` splits past
+    2048-bit coefficients, where stepping takes n additions of them.  No
+    single power of k follows the measured crossover: it sits near 15 k**2
+    for k 8..24 and grows faster than k**3 past k = 32.  The rule is a fit,
+    256 its constant, to timings of both routes, each ending in its
+    d-product last step, for k in 2..24 and n from 64 up to four times its
+    threshold, checked at k = 28..64 (``powering_rule`` in BENCH_14.json
+    and BENCH_16.json).  Below n = 256 the interpreter's cost per
+    operation decides instead, and powering saves microseconds at best.
     """
     return n >= 256 and 256 * n >= k**5
 

@@ -7,13 +7,12 @@ exact sum of the first ``terms`` terms with a certified tail bound, and
 bound is at most tol.
 
 All three series have consecutive-term magnitude ratios that approach
-r_k = (k+1)**(k+1) / (k**k * 2**(k+1)) < 1, so beyond a stabilization
-index a plain geometric majorant with ratio theta_k = (1 + r_k)/2 bounds
-the tail.  Early terms can vanish, alternate in sign, or transiently grow
-(the binomial tops only become ordinary once the summation index is large
-enough), so the tail rule bridges any not-yet-stable terms explicitly by
-absolute value and anchors the geometric bound on a window of observed
-ratios, every one of which must sit under theta_k.
+r_k = (k+1)**(k+1) / (k**k * 2**(k+1)) < 1, so from an anchor index on a
+plain geometric majorant with ratio theta_k = (1 + r_k)/2 bounds the tail.
+Early terms can vanish, alternate in sign, or transiently grow, so the
+tail rule bridges the terms before the anchor by absolute value.  Each
+builder states its term ratio as a product of linear quotients in el, and
+the anchor is proved from those quotients before any term is built.
 
 Sums stay exact but are kept in plain integers.  A series yields term el
 as a triple (a, q, e) meaning a * 2**e / q, with q = el + 1 for the
@@ -25,12 +24,9 @@ evaluation of series of rational numbers", ANTS-III, 1998): the two
 halves' sums merge with one shift, and with one lcm only where their
 denominators differ, so the dyadic series need shifts and adds alone and
 no gcd is taken.  A series keeps its prefix sum across ``partial`` calls,
-so a longer request merges in the sum of just the new terms.  It also
-keeps the tail bridge: every request below a gate point reaches that same
-point, so a later one drops the terms it now sums from the bridge instead
-of bridging again.  The ratio gate compares terms by integer
-cross-multiplication, and the one Fraction of a sum is made when
-``partial`` returns it (value and tail bound alike).
+so a longer request merges in the sum of just the new terms; requests
+below the tail bridge's end share one bridge.  The one Fraction of a sum
+is made when ``partial`` returns it (value and tail bound alike).
 """
 
 from __future__ import annotations
@@ -42,12 +38,14 @@ from itertools import chain
 from math import lcm
 
 from .binomial import binom_row as _binom_row
-from .errors import CertificationError, DomainError, check_k
+from .errors import DomainError, check_k
 
-#: consecutive observed ratios required under theta before the geometric
-#: bound is trusted (rides out the transient hump past the sign region)
-_RATIO_WINDOW = 3
+#: terms bridged past anchor + 1, where the geometric bound may first start;
+#: as each later ratio is <= theta, bridging further never loosens the bound,
+#: and three keep the tail bounds and term counts the CLI's outputs pin
+_EXTRA_BRIDGE = 3
 
+#: the most terms past those summed that a tail bound may bridge
 _MAX_PROBE = 100_000
 
 #: the term count ``adaptive_partial`` starts doubling from
@@ -102,24 +100,62 @@ def _value(x: tuple[int, int, int]) -> Fraction:
     return Fraction(num, den << exp) if exp >= 0 else Fraction(num << -exp, den)
 
 
-class _TailSeries:
-    """A series with cached terms, a running prefix sum and the windowed
-    geometric tail rule."""
+def _product(xs: list[int]) -> int:
+    """The product of xs by pairs: unlike a left fold, like sizes meet."""
+    while len(xs) > 1:
+        xs = [x * y for x, y in zip(xs[::2], xs[1::2])] + xs[len(xs) & ~1:]
+    return xs[0]
 
-    def __init__(self, terms: Iterator[tuple[int, int, int]], floor: int, k: int,
-                 base: int = 0):
+
+def _anchor(ratio: list[tuple[int, int, int, int]], tn: int, td: int) -> int:
+    """The least M from which every term ratio is at most theta = tn/td.
+
+    ``ratio`` states |t[el+1] / t[el]| as quotients (a1 el + b1) / (a2 el + b2),
+    a1, a2 > 0.  From the least el >= 0 where every a el + b is positive, each
+    quotient is positive and monotone: over a run of indices it is at most its
+    value at one end, or its limit a1/a2 on an endless run.  A run whose
+    product of those maxima exceeds theta is halved, right half first, down
+    to single indices, where the product is the ratio itself.
+    """
+
+    def passes(lo: int, hi: int | None) -> bool:
+        # every ratio at lo..hi (hi None: the run is endless) is <= theta
+        nums, dens = [], []
+        for a1, b1, a2, b2 in ratio:
+            x = hi if a1 * b2 > a2 * b1 else lo  # the end where it is largest
+            nums.append(a1 if x is None else a1 * x + b1)
+            dens.append(a2 if x is None else a2 * x + b2)
+        return _product(nums) * td <= _product(dens) * tn
+
+    # ceil((1 - b) / a) is the least el with a el + b >= 1
+    floor = max(0, *[(a1 - b1) // a1 for a1, b1, _, _ in ratio],
+                *[(a2 - b2) // a2 for _, _, a2, b2 in ratio])
+    runs = [(floor, None)]  # runs still to check, the rightmost on top
+    while runs:
+        lo, hi = runs.pop()
+        if not passes(lo, hi):
+            if lo == hi:
+                return lo + 1  # lo is the last index whose ratio exceeds theta
+            mid = 2 * lo + 1 if hi is None else (lo + hi + 1) // 2
+            runs += [(lo, mid - 1), (mid, hi)]
+    return floor
+
+
+class _TailSeries:
+    """A series with cached terms, a running prefix sum and a proved tail rule."""
+
+    def __init__(self, terms: Iterator[tuple[int, int, int]], k: int,
+                 ratio: list[tuple[int, int, int, int]], base: int = 0):
         self._source = terms
-        self.floor = floor  # first index of the all-positive ordinary regime
-        theta = (1 + term_ratio_limit(k)) / 2
-        self._theta = theta.numerator, theta.denominator
+        d = k**k << (k + 1)  # theta = (1 + r_k)/2 with r_k = (k+1)**(k+1) / d
+        self._theta = d + (k + 1) ** (k + 1), 2 * d
+        self.anchor = _anchor(ratio, *self._theta)  # ratios from here on are <= theta
+        self._end = self.anchor + 1 + _EXTRA_BRIDGE  # where each bridge ends
         self.base = base
         self._terms: list[tuple[int, int, int]] = []
         self._total = (base, 1, 0)  # the sum of the first self._summed terms
         self._summed = 0
-        # (start, gate, sum of |t| over start..gate-1): the gate passes at
-        # ``gate`` and at no point from ``start`` up to it; no request lies
-        # in the empty [1, 0] this starts with
-        self._bridge = (1, 0, _ZERO)
+        self._bridge = (self._end, _ZERO)  # (start, sum of |t| over start..end-1)
 
     def _triple(self, el: int) -> tuple[int, int, int]:
         terms = self._terms
@@ -137,64 +173,27 @@ class _TailSeries:
         a, q, e = self._triple(el)
         return _value((a, q, -e))
 
-    def _good(self, j: int) -> bool:
-        # t[j] and t[j+1] lie in the ordinary regime, neither is zero, and
-        # |t[j+1]| <= theta |t[j]|, by integer cross-multiplication
-        if j < self.floor or j < 0:
-            return False
-        a0, q0, e0 = self._triple(j)
-        a1, q1, e1 = self._triple(j + 1)
-        if a0 == 0 or a1 == 0:
-            return False
-        tn, td = self._theta
-        lhs, rhs = abs(a1) * td * q0, abs(a0) * tn * q1
-        if e1 >= e0:
-            lhs <<= e1 - e0
-        else:
-            rhs <<= e0 - e1
-        return lhs <= rhs
-
-    def _gate(self, terms_used: int) -> int:
-        # the first m >= terms_used where the _RATIO_WINDOW ratios ending at
-        # t[m-1] are all good; ``run`` counts the good ratios ending there
-        m = terms_used
-        run = 0
-        while run < _RATIO_WINDOW and self._good(m - 2 - run):
-            run += 1
-        while run < _RATIO_WINDOW:
-            m += 1
-            if m > terms_used + _MAX_PROBE:
-                raise CertificationError(
-                    f"term ratios stayed above theta for {_MAX_PROBE} terms "
-                    "inside the ordinary regime")
-            run = run + 1 if self._good(m - 2) else 0
-        return m
-
     def tail_bound(self, terms_used: int) -> Fraction:
-        # the gate first passes at m = floor + _RATIO_WINDOW + 1 or later
-        if self.floor + _RATIO_WINDOW + 1 > terms_used + _MAX_PROBE:
-            raise DomainError(
-                f"the tail bound needs terms up to index {self.floor + _RATIO_WINDOW}, "
-                f"beyond the cap of {_MAX_PROBE} terms past the {terms_used} summed")
-        # the gate at m certifies |sum over el >= m| <= |t[m-1]| theta / (1 - theta);
-        # the terms from terms_used up to m are bridged by absolute value
-        start, m, bridge = self._bridge
-        if start <= terms_used <= m:
-            # every request from start up to the gate reaches the same gate:
-            # drop the terms this one sums instead of bridging again
-            num, den, exp = self._sum(start, terms_used, absolute=True)
-            bridge = _merge(bridge, (-num, den, exp))
-        else:
-            m = self._gate(terms_used)
-            bridge = self._sum(terms_used, m, absolute=True)
-        self._bridge = terms_used, m, bridge
-        # the geometric majorant |t[m-1]| * theta / (1 - theta)
-        a, q, e = self._triple(m - 1)
+        # as g - 1 >= anchor, |sum over el >= g| <= |t[g-1]| theta / (1 - theta);
+        # the terms from terms_used up to g are bridged by absolute value
+        g = max(terms_used, self._end)
+        if g > terms_used + _MAX_PROBE:
+            raise DomainError(f"the tail bound needs terms up to index {g - 1}, beyond "
+                              f"the cap of {_MAX_PROBE} terms past the {terms_used} summed")
+        bridge = _ZERO
+        if terms_used < self._end:
+            # every request below the end bridges to it: move the start
+            start, bridge = self._bridge
+            num, den, exp = self._sum(*sorted((start, terms_used)), absolute=True)
+            bridge = _merge(bridge, (num if terms_used < start else -num, den, exp))
+            self._bridge = terms_used, bridge
+        a, q, e = self._triple(g - 1)
         tn, td = self._theta
         return _value(_merge(bridge, (abs(a) * tn, q * (td - tn), -e)))
 
     def partial(self, terms_used: int) -> SeriesPartialSum:
-        _check_terms(terms_used)
+        if type(terms_used) is not int or terms_used < 0:
+            raise DomainError(f"term count must be a nonnegative integer, got {terms_used!r}")
         tail = self.tail_bound(terms_used)  # first: it can refuse before any summing
         if terms_used < self._summed:
             self._total, self._summed = (self.base, 1, 0), 0
@@ -203,8 +202,10 @@ class _TailSeries:
         return SeriesPartialSum(terms_used, _value(self._total), tail)
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
+def _row_ratio(k: int, c: int) -> list[tuple[int, int, int, int]]:
+    """binom_row(k, c)'s step ratio over 2**(k+1), as k+1 linear quotients."""
+    return [(k + 1, c + i, k, c + i) for i in range(1, k + 1)] + [
+        (k + 1, c + k + 1, 2 << k, 2 << k)]
 
 
 def rho_power_series(k: int, n: int) -> _TailSeries:
@@ -220,7 +221,8 @@ def rho_power_series(k: int, n: int) -> _TailSeries:
         raise DomainError(f"n must be a positive integer, got {n!r}")
     terms = ((-n * c, el + 1, n - k - 1 - (k + 1) * el)
              for el, c in enumerate(_binom_row(k, k - n)))
-    return _TailSeries(terms, max(0, _ceil_div(n - k, k)), k, base=1 << n)
+    # the ratio is the row's times (el+1)/(el+2)
+    return _TailSeries(terms, k, _row_ratio(k, k - n) + [(1, 1, 1, 2)], base=1 << n)
 
 
 def hermite_series(k: int, a: int) -> _TailSeries:
@@ -232,7 +234,7 @@ def hermite_series(k: int, a: int) -> _TailSeries:
     if type(a) is not int:
         raise DomainError(f"a must be an integer, got {a!r}")
     terms = ((c, 1, -(k + 1) * el) for el, c in enumerate(_binom_row(k, a)))
-    return _TailSeries(terms, max(0, _ceil_div(-a, k)), k)
+    return _TailSeries(terms, k, _row_ratio(k, a))
 
 
 def asymptotic_series(k: int, n: int) -> _TailSeries:
@@ -255,13 +257,10 @@ def asymptotic_series(k: int, n: int) -> _TailSeries:
     lower = chain([0], _binom_row(k, k + 1 - n))
     terms = ((b - b1, 1, n - 2 - (k + 1) * el)
              for el, (b, b1) in enumerate(zip(_binom_row(k, -n), lower)))
-    return _TailSeries(terms, max(0, _ceil_div(n, k - 1)), k)
-
-
-def _check_terms(terms: int) -> int:
-    if type(terms) is not int or terms < 0:
-        raise DomainError(f"term count must be a nonnegative integer, got {terms!r}")
-    return terms
+    # term el is the row's times g(el) = ((k-1) el - n + 1) / (k el - n + 1),
+    # so the ratio is the row's times g(el+1) / g(el)
+    return _TailSeries(terms, k, _row_ratio(k, -n) + [(k - 1, k - n, k - 1, 1 - n),
+                                                       (k, 1 - n, k, k + 1 - n)])
 
 
 def adaptive_partial(partial: Callable[[int], SeriesPartialSum],

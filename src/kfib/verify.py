@@ -304,9 +304,12 @@ def verify_erratum(k_max: int = 6, n_max: int = 200) -> VerifyReport:
 def run_suites(names, k_max: int = 6, n_max: int = 200) -> list[VerifyReport]:
     """Run the named suites over k = 2..k_max and n up to n_max.
 
-    A range in which a suite would check nothing is refused with
-    DomainError before any suite runs.
+    An unknown suite name, or a range in which a suite would check nothing,
+    is refused with DomainError before any suite runs.
     """
+    unknown = [name for name in names if name not in SWEEPS]
+    if unknown:
+        raise DomainError(f"unknown suite {unknown[0]!r}; the suites are {', '.join(SUITES)}")
     if type(k_max) is not int or k_max < 2:
         raise DomainError(f"k_max must be an integer >= 2, got {k_max!r}")
     if type(n_max) is not int or n_max < 0:

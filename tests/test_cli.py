@@ -449,13 +449,15 @@ def test_fib_beyond_int_str_digit_limit(capsys):
 
 
 def test_series_tail_cap_exits_3_fast(capsys):
-    started = time.perf_counter()
-    code, out, err = run_capture(capsys, "series", "--which", "thm2", "--k", "2",
-                                 "--a", "-250000")
-    assert time.perf_counter() - started < 1
-    assert code == 3 and out == ""
-    assert err.startswith("domain error:") and "cap" in err
-    assert err.count("\n") == 1 and "Traceback" not in err
+    # a tail anchor past the probe cap is known before any term is built
+    for a in ("-250000", "-190000", "300000"):
+        started = time.perf_counter()
+        code, out, err = run_capture(capsys, "series", "--which", "thm2", "--k", "2",
+                                     "--a", a)
+        assert time.perf_counter() - started < 1, a
+        assert code == 3 and out == "", a
+        assert err.startswith("domain error:") and "cap" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_rho_method_label(capsys):
@@ -792,6 +794,14 @@ def test_verify_smallest_ranges_check_something(capsys):
         code, out, _ = run_capture(capsys, "verify", "--suite", suite, "--k-max", "2",
                                    "--n-max", n_max)
         assert code == 0 and " 0 cells" not in out, suite
+
+
+def test_run_suites_refuses_unknown_suite_before_any_runs(monkeypatch):
+    ran = []
+    monkeypatch.setitem(verify.SWEEPS, "engines", lambda k_max, n_max: ran.append(k_max))
+    with pytest.raises(kfib.DomainError, match="'bogus'"):
+        verify.run_suites(["engines", "bogus"])
+    assert ran == []
 
 
 # -- the option table against the argparse parser it replaced ---------------

@@ -124,8 +124,8 @@ def test_asymptotic_series_truncation_is_exact_integer():
 
 
 def test_term_ratios_approach_limit_and_stay_under_theta():
-    # beyond the stabilization window the observed ratios must sit under
-    # theta = (1 + r)/2 and drift toward r
+    # past each series' proved anchor (at most 36 here) every ratio sits
+    # under theta = (1 + r)/2, and the ratios drift toward r
     for k in (2, 3, 4, 5):
         r = term_ratio_limit(k)
         theta = (1 + r) / 2
@@ -219,10 +219,15 @@ def test_terms_match_binom_per_term_definition():
 
 
 def test_tail_cap_refused_before_bridging():
-    # the ordinary regime starts at el = 125000, past the probe cap: the
-    # tail bound is refused at once instead of bridging 1e5 terms first
-    with pytest.raises(DomainError, match="cap"):
-        hermite_series(2, -250000).partial(4)
+    # each proved anchor lies past the probe cap (a = -250000: the ordinary
+    # regime starts at el = 125000; a = -190000 and 300000: anchors near
+    # 240000 and 213000): the tail bound is refused before any term is built,
+    # also where the anchor search halves a thousand times
+    for a in (-250000, -190000, 300000, -10**300, 10**300):
+        series = hermite_series(2, a)
+        with pytest.raises(DomainError, match="cap"):
+            series.partial(4)
+        assert series._terms == [], a
 
 
 # -- the integer sums against a Fraction oracle built from binom -----------
@@ -318,27 +323,86 @@ def test_adaptive_over_one_series_matches_fresh_series(k):
 
 def test_tail_bridged_once_per_series(monkeypatch):
     # at k=2, a=-4000 every doubling from 4 to 1024 terms lies below the gate
-    # point (~5,000): the bridge to it is summed once, and each later request
-    # drops the terms it now sums instead of bridging again
-    calls = {"good": 0, "split": 0}
-    good, split = series_module._TailSeries._good, series_module._split_sum
-
-    def counted_good(self, j):
-        calls["good"] += 1
-        return good(self, j)
+    # point anchor + 4 (~5,000): the bridge to it is summed once, and each
+    # later request drops the terms it now sums instead of bridging again
+    calls = {"split": 0}
+    split = series_module._split_sum
 
     def counted_split(*args):
         calls["split"] += 1
         return split(*args)
 
-    gate = hermite_series(2, -4000)._gate(0)
-    monkeypatch.setattr(series_module._TailSeries, "_good", counted_good)
+    gate = hermite_series(2, -4000).anchor + 4
     monkeypatch.setattr(series_module, "_split_sum", counted_split)
     series = hermite_series(2, -4000)
     p = adaptive_partial(series.partial, Fraction(1, 10**30))
     assert p.terms_used == 1024 < gate
-    assert calls["good"] <= 2 * gate and calls["split"] <= 4 * gate, (calls, gate)
+    assert calls["split"] <= 4 * gate, (calls, gate)
     monkeypatch.undo()
     for t in (4, 8, 64, 1024):
         assert series.partial(t) == hermite_series(2, -4000).partial(t), t
     assert p == hermite_series(2, -4000).partial(1024)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_ratio_quotients_match_term_ratios(k, monkeypatch):
+    # the linear quotients each builder hands to the anchor search multiply
+    # to |t[el+1] / t[el]| from the ordinary regime's first index on, and
+    # that index is the first where every quotient's linear forms are positive
+    handed = []
+    anchor = series_module._anchor
+
+    def spy(ratio, tn, td):
+        handed.append(ratio)
+        return anchor(ratio, tn, td)
+
+    monkeypatch.setattr(series_module, "_anchor", spy)
+    cases = [(rho_power_series, n, max(0, _ceil(n - k, k))) for n in (1, 2, 7, 30)]
+    cases += [(hermite_series, a, max(0, _ceil(-a, k))) for a in (-300, -40, -7, 0, 5)]
+    cases += [(asymptotic_series, n, max(0, _ceil(n, k - 1))) for n in (0, 2, 7, 30)]
+    for build, x, floor in cases:
+        series = build(k, x)
+        ratio = handed.pop()
+        assert series.anchor >= floor
+        forms = [f for q in ratio for f in (q[:2], q[2:])]
+        assert all(a * floor + b > 0 for a, b in forms), (build, x)
+        assert floor == 0 or min(a * (floor - 1) + b for a, b in forms) <= 0, (build, x)
+        for el in range(floor, floor + 61):
+            product = Fraction(1)
+            for a1, b1, a2, b2 in ratio:
+                product *= Fraction(a1 * el + b1, a2 * el + b2)
+            assert product == abs(series.term(el + 1) / series.term(el)), (build, x, el)
+
+
+def _limit_bracket(which, k, x, lo, hi):
+    """Bounds on a series' limit for a dominant root r in [lo, hi]: at the
+    parameters tested (a <= 0 for thm2) the limit is num(r) / den(r) with
+    num and den positive and increasing in r there."""
+
+    def num(r):
+        if which == "thm1":
+            return r**x
+        if which == "thm2":
+            return Fraction(2) ** (x + 1) * r ** (-x)
+        return (r - 1) * r ** (x - 1)
+
+    def den(r):
+        return 1 if which == "thm1" else (k + 1) * r - 2 * k
+
+    return num(lo) / den(hi), num(hi) / den(lo)
+
+
+@pytest.mark.parametrize("k", (2, 3, 4, 5))
+def test_tail_sound_where_bound_is_mostly_bridge(k):
+    # thm2 at a = -30 and -300 bridges tens to hundreds of terms before its
+    # anchor, so at 16 and 64 terms most of each bound is bridge
+    root, err = bisect_dominant_root(k, 1200)
+    cases = [("thm2", hermite_series, a) for a in (-30, -300)]
+    cases += [("thm1", rho_power_series, n) for n in (30, 100)]
+    cases += [("thm3", asymptotic_series, n) for n in (30, 100)]
+    for which, build, x in cases:
+        low, high = _limit_bracket(which, k, x, root - err, root + err)
+        for p in [adaptive_partial(build(k, x).partial, Fraction(1, 10**12))] + [
+                build(k, x).partial(t) for t in (16, 64, 400)]:
+            assert low - p.tail_bound <= p.value <= high + p.tail_bound, (
+                which, k, x, p.terms_used)
