@@ -19,7 +19,7 @@ them by a positive ordinary-binomial ratio of their own.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from math import comb, prod
+from math import comb, perm, prod
 
 
 def binom(a: int, b: int) -> int:
@@ -36,32 +36,39 @@ def binom(a: int, b: int) -> int:
     return -c if b & 1 else c
 
 
+def _run(low: int, count: int) -> int:
+    """low * (low+1) * ... * (low+count-1), by math.perm where the factors share a sign."""
+    if low > 0:
+        return perm(low + count - 1, count)
+    if low + count > 0:
+        return prod(range(low, low + count))  # a factor is 0
+    return -perm(-low, count) if count & 1 else perm(-low, count)
+
+
 def binom_row(k: int, c: int) -> Iterator[int]:
     """binom((k+1)*el + c, el) for el = 0, 1, 2, ...
 
-    With top = (k+1)*el + c, both sides of
+    With top = (k+1)*el + c and m = min(el, k), both sides of
 
-        binom(top+k+1, el+1) * (el+1) * (top-el+1) ... (top-el+k)
-            = binom(top, el) * (top+1) ... (top+k+1)
+        binom(top+k+1, el+1) * (el+1) * (top-el+1) ... (top-el+m)
+            = binom(top, el) * (top+k+1-m) ... (top+k+1)
 
-    are the product of the consecutive integers top-el+1 .. top+k+1 over
-    el! (el >= 0), for every integer top: negative tops, the zero region
+    are the products top-el+1 .. top-el+m and top+k+1-el .. top+k+1 over
+    el!, for every integer top (el >= 0): negative tops, the zero region
     0 <= top < el and the ordinary regime alike.  So each coefficient
-    follows from the previous one by O(k) small-integer products and one
-    exact division whenever the cancelled product D = (top-el+1) ...
-    (top-el+k) is nonzero.  D vanishes only where top - el = k*el + c lies
-    in [-k, -1], which is at most one step of the row (a regime boundary);
-    that coefficient comes from binom.
+    follows from the previous one by two products of consecutive integers,
+    ``math.perm`` where their factors share a sign, and one exact division
+    wherever D = (top-el+1) ... (top-el+m) is nonzero.  D vanishes only
+    where k*el + c = top - el lies in [-m, -1], at most one step of the
+    row (a regime boundary); that coefficient comes from binom.
     """
-    el, top = 0, c
-    val = 1
+    el, top, val = 0, c, 1
     while True:
         yield val
-        low = top - el + 1
-        if low <= 0 < low + k:
+        low, m = top - el + 1, min(el, k)
+        if low <= 0 < low + m:
             val = binom(top + k + 1, el + 1)
         else:
-            val = val * prod(range(top + 1, top + k + 2)) // (
-                (el + 1) * prod(range(low, low + k)))
+            val = val * _run(top + k + 1 - m, m + 1) // ((el + 1) * _run(low, m))
         el += 1
         top += k + 1

@@ -14,19 +14,18 @@ tail rule bridges the terms before the anchor by absolute value.  Each
 builder states its term ratio as a product of linear quotients in el, and
 the anchor is proved from those quotients before any term is built.
 
-Sums stay exact but are kept in plain integers.  A series yields term el
-as a triple (a, q, e) meaning a * 2**e / q, with q = el + 1 for the
-root-power series (its harmonic factor leaves the dyadic lattice) and
-q = 1 for the other two.  A sum is a triple (N, Q, E) meaning N / (Q * 2**E).
-One primitive sums any run of terms, signed or by absolute value, by
-binary splitting (B. Haible and T. Papanikolaou, "Fast multiprecision
-evaluation of series of rational numbers", ANTS-III, 1998): the two
-halves' sums merge with one shift, and with one lcm only where their
-denominators differ, so the dyadic series need shifts and adds alone and
-no gcd is taken.  A series keeps its prefix sum across ``partial`` calls,
-so a longer request merges in the sum of just the new terms; requests
-below the tail bridge's end share one bridge.  The one Fraction of a sum
-is made when ``partial`` returns it (value and tail bound alike).
+Sums stay exact in plain integers: term el is an integer a_el times
+2**(e0 - (k+1)*el).  For the power series of rho_k**n, a_el is -n *
+binom(T, el) / (el+1) with T = (k+1)*el + k - n, an exact division: the
+quotient is binom(T+1, el+1) - (k+1)*binom(T, el), the coefficient of
+z**(el+1) in the generalized binomial series B_{k+1}(z)**(-n) (Graham,
+Knuth and Patashnik, Concrete Mathematics, eq. 5.60), and each division is
+checked all the same.  A run of terms, signed or by absolute value, sums by
+Horner's rule, N = (N << (k+1)) + a, in blocks of fixed length, into one
+integer over a power of two; two sums merge with one shift.  A series keeps
+its prefix sum across ``partial`` calls, so a longer request merges in the
+sum of just the new terms; requests below the tail bridge's end share one
+bridge.  The one Fraction of a sum is made when ``partial`` returns it.
 """
 
 from __future__ import annotations
@@ -35,10 +34,9 @@ from collections import namedtuple
 from collections.abc import Callable, Iterator
 from fractions import Fraction
 from itertools import chain
-from math import lcm
 
 from .binomial import binom_row as _binom_row
-from .errors import DomainError, check_k
+from .errors import DomainError, IntegralityError, check_k
 
 #: terms bridged past anchor + 1, where the geometric bound may first start;
 #: as each later ratio is <= theta, bridging further never loosens the bound,
@@ -47,6 +45,9 @@ _EXTRA_BRIDGE = 3
 
 #: the most terms past those summed that a tail bound may bridge
 _MAX_PROBE = 100_000
+
+#: terms summed by Horner's rule between two shifts of the long running sum
+_BLOCK = 64
 
 #: the term count ``adaptive_partial`` starts doubling from
 _START_TERMS = 4
@@ -67,37 +68,20 @@ class SeriesPartialSum(namedtuple("SeriesPartialSum", "terms_used value tail_bou
     __slots__ = ()
 
 
-_ZERO = (0, 1, 0)
+def _horner(terms: list[int], shift: int) -> int:
+    """The sum of terms[el] << shift*(len(terms)-1-el), by Horner's rule in blocks."""
+    total = 0
+    for b in range(0, len(terms), _BLOCK):
+        block, run = terms[b:b + _BLOCK], 0
+        for a in block:
+            run = (run << shift) + a
+        total = (total << shift * len(block)) + run
+    return total
 
 
-def _merge(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, int, int]:
-    """The sum of two exact sums (num, den, exp), each num / (den * 2**exp)."""
-    n1, d1, e1 = x
-    n2, d2, e2 = y
-    if d1 != d2:
-        d = lcm(d1, d2)
-        n1, n2, d1 = n1 * (d // d1), n2 * (d // d2), d
-    if e1 < e2:
-        return (n1 << (e2 - e1)) + n2, d1, e2
-    return n1 + (n2 << (e1 - e2)), d1, e1
-
-
-def _split_sum(terms: list[tuple[int, int, int]], i: int, j: int,
-               absolute: bool) -> tuple[int, int, int]:
-    """Sum of the terms a * 2**e / q at indices i..j-1 (of |a| if ``absolute``),
-    by binary splitting, as one (num, den, exp)."""
-    if j - i == 1:
-        a, q, e = terms[i]
-        return (abs(a) if absolute else a), q, -e
-    if j <= i:
-        return _ZERO
-    mid = (i + j) // 2
-    return _merge(_split_sum(terms, i, mid, absolute), _split_sum(terms, mid, j, absolute))
-
-
-def _value(x: tuple[int, int, int]) -> Fraction:
-    num, den, exp = x
-    return Fraction(num, den << exp) if exp >= 0 else Fraction(num << -exp, den)
+def _fraction(num: int, exp: int, den: int = 1) -> Fraction:
+    """num * 2**exp / den as a Fraction."""
+    return Fraction(num << exp, den) if exp >= 0 else Fraction(num, den << -exp)
 
 
 def _product(xs: list[int]) -> int:
@@ -142,36 +126,38 @@ def _anchor(ratio: list[tuple[int, int, int, int]], tn: int, td: int) -> int:
 
 
 class _TailSeries:
-    """A series with cached terms, a running prefix sum and a proved tail rule."""
+    """A series with cached terms, a running prefix sum and a proved tail rule.
 
-    def __init__(self, terms: Iterator[tuple[int, int, int]], k: int,
+    Term el is terms[el] * 2**(e0 - (k+1)*el), the sum starts at base * 2**(e0+k+1),
+    and a sum of the terms before index j is an int N worth N * 2**self._exp(j).
+    """
+
+    def __init__(self, terms: Iterator[int], k: int, e0: int,
                  ratio: list[tuple[int, int, int, int]], base: int = 0):
         self._source = terms
+        self._shift, self._e0 = k + 1, e0
         d = k**k << (k + 1)  # theta = (1 + r_k)/2 with r_k = (k+1)**(k+1) / d
         self._theta = d + (k + 1) ** (k + 1), 2 * d
         self.anchor = _anchor(ratio, *self._theta)  # ratios from here on are <= theta
         self._end = self.anchor + 1 + _EXTRA_BRIDGE  # where each bridge ends
         self.base = base
-        self._terms: list[tuple[int, int, int]] = []
-        self._total = (base, 1, 0)  # the sum of the first self._summed terms
+        self._terms: list[int] = []
+        self._total = base  # the sum of the first self._summed terms
         self._summed = 0
-        self._bridge = (self._end, _ZERO)  # (start, sum of |t| over start..end-1)
+        self._bridge = (self._end, 0)  # (start, sum of |t| over start..end-1)
 
-    def _triple(self, el: int) -> tuple[int, int, int]:
+    def _exp(self, j: int) -> int:
+        return self._e0 - self._shift * (j - 1)
+
+    def _coeff(self, el: int) -> int:
         terms = self._terms
         while len(terms) <= el:
             terms.append(next(self._source))
         return terms[el]
 
-    def _sum(self, i: int, j: int, absolute: bool = False) -> tuple[int, int, int]:
-        if j > i:
-            self._triple(j - 1)
-        return _split_sum(self._terms, i, j, absolute)
-
     def term(self, el: int) -> Fraction:
         """Term ``el`` as an exact Fraction."""
-        a, q, e = self._triple(el)
-        return _value((a, q, -e))
+        return _fraction(self._coeff(el), self._exp(el + 1))
 
     def tail_bound(self, terms_used: int) -> Fraction:
         # as g - 1 >= anchor, |sum over el >= g| <= |t[g-1]| theta / (1 - theta);
@@ -180,26 +166,28 @@ class _TailSeries:
         if g > terms_used + _MAX_PROBE:
             raise DomainError(f"the tail bound needs terms up to index {g - 1}, beyond "
                               f"the cap of {_MAX_PROBE} terms past the {terms_used} summed")
-        bridge = _ZERO
+        last = abs(self._coeff(g - 1))  # builds every term up to g - 1
+        bridge = 0
         if terms_used < self._end:
-            # every request below the end bridges to it: move the start
+            # every request below the end bridges to it (g is the end): move the start
             start, bridge = self._bridge
-            num, den, exp = self._sum(*sorted((start, terms_used)), absolute=True)
-            bridge = _merge(bridge, (num if terms_used < start else -num, den, exp))
+            i, j = sorted((start, terms_used))
+            moved = _horner(list(map(abs, self._terms[i:j])), self._shift) << self._shift * (g - j)
+            bridge += moved if terms_used < start else -moved
             self._bridge = terms_used, bridge
-        a, q, e = self._triple(g - 1)
         tn, td = self._theta
-        return _value(_merge(bridge, (abs(a) * tn, q * (td - tn), -e)))
+        return _fraction(bridge * (td - tn) + last * tn, self._exp(g), td - tn)
 
     def partial(self, terms_used: int) -> SeriesPartialSum:
         if type(terms_used) is not int or terms_used < 0:
             raise DomainError(f"term count must be a nonnegative integer, got {terms_used!r}")
-        tail = self.tail_bound(terms_used)  # first: it can refuse before any summing
+        tail = self.tail_bound(terms_used)  # first: it can refuse; else it builds the terms
         if terms_used < self._summed:
-            self._total, self._summed = (self.base, 1, 0), 0
-        self._total = _merge(self._total, self._sum(self._summed, terms_used))
+            self._total, self._summed = self.base, 0
+        new = self._terms[self._summed:terms_used]
+        self._total = (self._total << self._shift * len(new)) + _horner(new, self._shift)
         self._summed = terms_used
-        return SeriesPartialSum(terms_used, _value(self._total), tail)
+        return SeriesPartialSum(terms_used, _fraction(self._total, self._exp(terms_used)), tail)
 
 
 def _row_ratio(k: int, c: int) -> list[tuple[int, int, int, int]]:
@@ -219,10 +207,16 @@ def rho_power_series(k: int, n: int) -> _TailSeries:
     check_k(k)
     if type(n) is not int or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
-    terms = ((-n * c, el + 1, n - k - 1 - (k + 1) * el)
-             for el, c in enumerate(_binom_row(k, k - n)))
-    # the ratio is the row's times (el+1)/(el+2)
-    return _TailSeries(terms, k, _row_ratio(k, k - n) + [(1, 1, 1, 2)], base=1 << n)
+
+    def terms():  # -n * binom(...) / (el+1), each division checked exact
+        for el, c in enumerate(_binom_row(k, k - n), 1):
+            a, r = divmod(-n * c, el)
+            if r:
+                raise IntegralityError(f"rho_{k}**{n} series term {-n * c} / {el} is fractional")
+            yield a
+
+    # the ratio is the row's times (el+1)/(el+2); 2**n is the sum's start
+    return _TailSeries(terms(), k, n - k - 1, _row_ratio(k, k - n) + [(1, 1, 1, 2)], base=1)
 
 
 def hermite_series(k: int, a: int) -> _TailSeries:
@@ -233,8 +227,7 @@ def hermite_series(k: int, a: int) -> _TailSeries:
     check_k(k)
     if type(a) is not int:
         raise DomainError(f"a must be an integer, got {a!r}")
-    terms = ((c, 1, -(k + 1) * el) for el, c in enumerate(_binom_row(k, a)))
-    return _TailSeries(terms, k, _row_ratio(k, a))
+    return _TailSeries(_binom_row(k, a), k, 0, _row_ratio(k, a))
 
 
 def asymptotic_series(k: int, n: int) -> _TailSeries:
@@ -255,12 +248,11 @@ def asymptotic_series(k: int, n: int) -> _TailSeries:
     # binom(top, el-1) is the row at c = k+1-n one place back, and 0 at el = 0
     # for every admitted n (n = 0 or n >= 2)
     lower = chain([0], _binom_row(k, k + 1 - n))
-    terms = ((b - b1, 1, n - 2 - (k + 1) * el)
-             for el, (b, b1) in enumerate(zip(_binom_row(k, -n), lower)))
+    terms = (b - b1 for b, b1 in zip(_binom_row(k, -n), lower))
     # term el is the row's times g(el) = ((k-1) el - n + 1) / (k el - n + 1),
     # so the ratio is the row's times g(el+1) / g(el)
-    return _TailSeries(terms, k, _row_ratio(k, -n) + [(k - 1, k - n, k - 1, 1 - n),
-                                                       (k, 1 - n, k, k + 1 - n)])
+    return _TailSeries(terms, k, n - 2, _row_ratio(k, -n) + [(k - 1, k - n, k - 1, 1 - n),
+                                                              (k, 1 - n, k, k + 1 - n)])
 
 
 def adaptive_partial(partial: Callable[[int], SeriesPartialSum],

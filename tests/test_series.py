@@ -6,7 +6,7 @@ from kfib import series as series_module
 from kfib.binomial import binom
 from kfib.closed_forms import kfib_binomial_shifted
 from kfib.dominant_root import asymptotic, rho
-from kfib.errors import DomainError
+from kfib.errors import DomainError, IntegralityError
 from kfib.series import (
     _binom_row,
     adaptive_partial,
@@ -194,6 +194,13 @@ def test_binom_rows_match_binom():
             row = _binom_row(k, c)
             for el in range(300):
                 assert next(row) == binom((k + 1) * el + c, el), (k, c, el)
+    # at large k the step products run over all-negative, mixed and
+    # all-positive factors, and the negative tops reach the zero region
+    for k in (40, 1000):
+        for c in (-3 * k, -k - 1, -1, 0, k - 1):
+            row = _binom_row(k, c)
+            for el in range(40):
+                assert next(row) == binom((k + 1) * el + c, el), (k, c, el)
 
 
 def test_terms_match_binom_per_term_definition():
@@ -208,6 +215,9 @@ def test_terms_match_binom_per_term_definition():
             terms = rho_power_series(k, n)
             for el in range(300):
                 c = binom(k * (el + 1) + el - n, el)
+                # the term's coefficient n/(el+1) * c is an integer (a Raney number)
+                top = k * (el + 1) + el - n
+                assert n * c == (el + 1) * ((k + 1) * c - binom(top + 1, el + 1)), (k, n, el)
                 e = n - k - 1 - step * el  # -n * 2**(n-k-1) * c / ((el+1) * 2**(step*el))
                 assert _same(terms.term(el), -n * c, el + 1, e), (k, n, el)
         for n in (0, 2, 7, 30, 60):
@@ -216,6 +226,20 @@ def test_terms_match_binom_per_term_definition():
                 top = step * el - n
                 c = binom(top, el) - binom(top, el - 1)
                 assert _same(terms.term(el), c, 1, n - 2 - step * el), (k, n, el)
+
+
+def test_power_series_checks_each_division(monkeypatch):
+    # a row entry off by one leaves -n * c / (el+1) fractional: the series
+    # raises, under python -O too, instead of summing a rounded term
+    row = _binom_row
+
+    def altered(k, c):
+        for el, x in enumerate(row(k, c)):
+            yield x + 1 if el == 3 else x
+
+    monkeypatch.setattr(series_module, "_binom_row", altered)
+    with pytest.raises(IntegralityError):
+        rho_power_series(2, 1).partial(10)
 
 
 def test_tail_cap_refused_before_bridging():
@@ -324,20 +348,22 @@ def test_adaptive_over_one_series_matches_fresh_series(k):
 def test_tail_bridged_once_per_series(monkeypatch):
     # at k=2, a=-4000 every doubling from 4 to 1024 terms lies below the gate
     # point anchor + 4 (~5,000): the bridge to it is summed once, and each
-    # later request drops the terms it now sums instead of bridging again
-    calls = {"split": 0}
-    split = series_module._split_sum
+    # later request drops the terms it now sums instead of bridging again, so
+    # Horner's rule runs over fewer than 2 * gate terms (bridging again at each
+    # of the nine doublings would sum about 9 * gate)
+    summed = {"terms": 0}
+    horner = series_module._horner
 
-    def counted_split(*args):
-        calls["split"] += 1
-        return split(*args)
+    def counted_horner(terms, shift):
+        summed["terms"] += len(terms)
+        return horner(terms, shift)
 
     gate = hermite_series(2, -4000).anchor + 4
-    monkeypatch.setattr(series_module, "_split_sum", counted_split)
+    monkeypatch.setattr(series_module, "_horner", counted_horner)
     series = hermite_series(2, -4000)
     p = adaptive_partial(series.partial, Fraction(1, 10**30))
     assert p.terms_used == 1024 < gate
-    assert calls["split"] <= 4 * gate, (calls, gate)
+    assert summed["terms"] <= 2 * gate, (summed, gate)
     monkeypatch.undo()
     for t in (4, 8, 64, 1024):
         assert series.partial(t) == hermite_series(2, -4000).partial(t), t
