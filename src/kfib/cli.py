@@ -18,12 +18,14 @@ under its full name (no abbreviations), and its last repeat wins.
 ``-h``/``--help`` prints usage lines built from the table.  A malformed
 command line prints a ``usage:`` line and ``kfib: error: ...`` on stderr.
 
-Exit codes: 0 success, 2 usage error, 3 domain error (including a series
-whose tail bound would need terms past the probe cap, a ``--tol`` outside
-[1e-400, 1e400], and a verify range with no cells), 4 verification
-failure, 5 a certificate that failed to verify (an internal error), and
-141 (128 + SIGPIPE, what a shell reports for a writer that SIGPIPE ends)
-when the reader closes stdout before the output ends, as ``| head`` does.
+Exit codes: 0 success, 2 usage error (including a series option its
+theorem does not take), 3 domain error (including a series whose tail
+bound would need terms past the probe cap, a ``--tol`` outside
+[1e-400, 1e400], a recurrence index n >= sys.maxsize, and a verify range
+with no cells or too long for a table), 4 verification failure, 5 a
+certificate that failed to verify (an internal error), and 141 (128 +
+SIGPIPE, what a shell reports for a writer that SIGPIPE ends) when the
+reader closes stdout before the output ends, as ``| head`` does.
 """
 
 from __future__ import annotations
@@ -306,9 +308,11 @@ def _run_series(opts: dict) -> tuple[list[OutputRecord], int]:
     which, k, terms, tol = opts["which"], opts["k"], opts["terms"], opts["tol"]
     if terms is not None and tol is not None:
         raise UsageError("series", "--terms and --tol are mutually exclusive")
-    key = "a" if which == "thm2" else "n"
+    key, other = ("a", "n") if which == "thm2" else ("n", "a")
     if opts[key] is None:
         raise UsageError("series", f"--{key} is required for --which {which}")
+    if opts[other] is not None:
+        raise UsageError("series", f"--{other} is not an option of --which {which}")
     builder = {"thm1": "rho_power_series", "thm2": "hermite_series",
                "thm3": "asymptotic_series"}[which]
     params = {"k": str(k), key: str(opts[key])}

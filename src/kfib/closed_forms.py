@@ -24,19 +24,27 @@ that same coefficient, over the same range and powers of two.  So every
 form walks ``_reflected_sum`` once.  A deliberately misranged variant of
 the ordinary formula is kept as a regression artifact, because a
 published version of the formula used that wrong summation range: it is
-the same sum with at most one term appended.
+the same sum with at most one term appended, the one place that imports
+``binom``.  Every form checks k and then n >= k (n >= 2 for the shifted
+sum) in ``_check_index``; ``kfib_ordinary`` then refuses n = 2k-1.
 """
 
 from __future__ import annotations
 
 from math import perm
 
-from .binomial import binom
 from .errors import DomainError, IntegralityError, check_k
 
 TYPE_CHECKING = False  # true for type checkers; importing typing costs start-up time
 if TYPE_CHECKING:
     from .dyadic import Dyadic
+
+
+def _check_index(k: int, n: int, least: int) -> None:
+    """check_k, then n an int >= least (not a bool); else DomainError."""
+    check_k(k)
+    if type(n) is not int or n < least:
+        raise DomainError(f"n must be an integer >= {least}, got {n!r}")
 
 
 def _exact_int(total: int, e: int) -> int:
@@ -80,9 +88,7 @@ def kfib_binomial_shifted(k: int, n: int) -> int:
     recurrence u[n+k+1] = 2*u[n+k] - u[n] and the closed initial values
     2**(n-2) for 2 <= n <= k+1 and 2**k - 1 at n = k+2.
     """
-    check_k(k)
-    if type(n) is not int or n < 2:
-        raise DomainError(f"n must be an integer >= 2, got {n!r}")
+    _check_index(k, n, 2)
     return _exact_int(*_reflected_sum(k, n - 1, n - 2))
 
 
@@ -92,15 +98,15 @@ def kfib_binomial(k: int, n: int) -> int:
     Requires n >= k (the first index at which the sum closes to an
     integer under this shift).
     """
-    check_k(k)
-    if type(n) is not int or n < k:
-        raise DomainError(f"n must be an integer >= k={k}, got {n!r}")
+    _check_index(k, n, k)
     return _exact_int(*_reflected_sum(k, n - k + 1, n - k))
 
 
 def _ordinary_term(k: int, n: int, el: int) -> int:
     # the coefficient by its definition, for the misranged tail past the
     # correct limit, where the tops are no longer all negative
+    from .binomial import binom  # only the misranged variant reads one binom
+
     coeff = binom(n - (el + 1) * k + 2, el) - binom(n - (el + 1) * k, el - 2)
     return -coeff if el & 1 else coeff
 
@@ -118,14 +124,10 @@ def kfib_ordinary(k: int, n: int) -> int:
     through degenerates there, so the input is refused rather than
     silently remapped.
     """
-    check_k(k)
-    if type(n) is not int or n < k:
-        raise DomainError(f"n must be an integer >= k={k}, got {n!r}")
+    _check_index(k, n, k)
     if n == 2 * k - 1:
-        raise DomainError(
-            f"n = 2k-1 = {n} is excluded from the ordinary-binomial formula; "
-            "use another method for this index"
-        )
+        raise DomainError(f"n = 2k-1 = {n} is excluded from the ordinary-binomial formula; "
+                          "use another method for this index")
     return _exact_int(*_reflected_sum(k, n - k + 1, n - k))
 
 
@@ -136,9 +138,7 @@ def kfib_ordinary_alt(k: int, n: int) -> int:
     m = n-k+1 - k*el, are those of ``kfib_binomial`` with the negative tops
     reflected, so both sum the same coefficients.
     """
-    check_k(k)
-    if type(n) is not int or n < k:
-        raise DomainError(f"n must be an integer >= k={k}, got {n!r}")
+    _check_index(k, n, k)
     return _exact_int(*_reflected_sum(k, n - k + 1, n - k))
 
 
@@ -167,8 +167,6 @@ def kfib_ordinary_erroneous(k: int, n: int) -> Dyadic:
     """
     from .dyadic import Dyadic  # the one value here that need not be an integer
 
-    check_k(k)
-    if type(n) is not int or n < k:
-        raise DomainError(f"n must be an integer >= k={k}, got {n!r}")
+    _check_index(k, n, k)
     total, e = _erroneous_sum(k, n)
     return Dyadic(total, -e)

@@ -10,18 +10,20 @@ the coefficients are large, O(k**1.6 M(n) log n) bit operations, and
 takes F[n] from it with k (or k+1) big products in place of a last
 squaring, where ``_powers`` finds that cheaper than stepping: for
 n >= 256 and 256*n >= k**5.  Otherwise it takes term n of its stepping
-generator, ``_order_k_terms`` or
-``_order_k1_terms``, one per recurrence, which steps a window of the last
-k (or k+1) terms, O(n**2) bit operations.  Both windows start at F[k-1]:
-the terms before it are zero seeds, which need no slot and add nothing
-to a sum, so a window holds at most min(n-k+2, k+1) values however large
-k is.  ``kfib_table`` takes its terms from the same order-k stepping as
-``kfib_order_k``.  A brute-force composition counter provides an oracle
-that shares nothing with either recurrence.
+generator, ``_order_k_terms`` or ``_order_k1_terms``, one per recurrence,
+which steps a window of the last k (or k+1) terms, O(n**2) bit
+operations.  Both windows start at F[k-1]: the terms before it are zero
+seeds, which need no slot and add nothing to a sum, so a window holds at
+most min(n-k+2, k+1) values however large k is, and only one holding more
+than k drops a stored term.  The zero seeds come at any k; an index from
+sys.maxsize on, where ``islice`` stops, is refused.  ``kfib_table`` takes
+the same order-k stepping as ``kfib_order_k``.  A brute-force composition
+counter provides an oracle that shares nothing with either recurrence.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from collections.abc import Iterator
 from itertools import islice, repeat
@@ -32,9 +34,9 @@ from .errors import DomainError, OracleCapError, check_k
 ORACLE_CAP = 25
 
 
-def _check_n(n: int) -> int:
-    if type(n) is not int or n < 0:
-        raise DomainError(f"index n must be a nonnegative integer, got {n!r}")
+def _check_n(n: int, least: int = 0) -> int:
+    if type(n) is not int or not least <= n < sys.maxsize:  # islice's indices end there
+        raise DomainError(f"index n must be an integer in [{least}, sys.maxsize), got {n!r}")
     return n
 
 
@@ -139,20 +141,19 @@ def _order_k_terms(k: int) -> Iterator[int]:
 
     The window holds the last k terms from F[k-1] on, and ``total`` their
     sum, the next term: a term older than F[k-1] is a zero seed, so it
-    neither needs a slot nor changes the sum when it leaves the window.
+    neither needs a slot nor changes the sum when it leaves the window.  A
+    stored term leaves once the window, the new term appended, holds k+1.
     """
-    yield from repeat(0, k - 1)
+    # with more than sys.maxsize zero seeds, every index islice reaches is one
+    yield from (repeat(0, k - 1) if k <= sys.maxsize else repeat(0))
     yield 1
     window = deque([1])  # F[k-1..m], at most k of them
     total = 1  # their sum, F[m+1]
-    zeros = k - 1  # steps in which the term leaving the window is a zero seed
     while True:
         yield total
         window.append(total)
         total += total
-        if zeros:
-            zeros -= 1
-        else:
+        if len(window) > k:
             total -= window.popleft()
 
 
@@ -160,20 +161,17 @@ def _order_k1_terms(k: int) -> Iterator[int]:
     """F[0], F[1], ... by the order-(k+1) recurrence F[m+k+1] = 2*F[m+k] - F[m].
 
     The twin of ``_order_k_terms``: from the seeds F[k-1] = F[k] = 1 the
-    window holds F[k-1..m+k], at most k+1 terms, and F[m] counts as zero
-    while it lies before them.
+    window holds F[k-1..m+k], at most k+1 terms, and F[m] is a zero seed
+    until the window holds more than k.
     """
-    yield from repeat(0, k - 1)
+    yield from (repeat(0, k - 1) if k <= sys.maxsize else repeat(0))
     yield 1
     window = deque([1, 1])  # F[k-1..m+k]
     term = 1  # F[m+k]
-    zeros = k - 1  # steps in which F[m] is a zero seed
     while True:
         yield term
         term += term
-        if zeros:
-            zeros -= 1
-        else:
+        if len(window) > k:
             term -= window.popleft()
         window.append(term)
 
@@ -238,13 +236,10 @@ def count_compositions(k: int, n: int) -> int:
     OracleCapError.
     """
     check_k(k)
-    if type(n) is not int or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
+    _check_n(n, 1)
     if n > ORACLE_CAP:
-        raise OracleCapError(
-            f"oracle cap: n={n} exceeds the enumeration cap {ORACLE_CAP}; "
-            "use a recurrence engine for inputs this large"
-        )
+        raise OracleCapError(f"oracle cap: n={n} exceeds the enumeration cap {ORACLE_CAP}; "
+                             "use a recurrence engine for inputs this large")
 
     def walk(remaining: int) -> int:
         if remaining == 0:

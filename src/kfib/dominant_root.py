@@ -24,7 +24,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .certified import CertifiedReal
-from .core import kfib_order_k
 from .errors import CertificationError, DomainError, check_k
 
 MIN_BITS = 8
@@ -154,6 +153,8 @@ def asymptotic_ratio(k: int, n: int, bits: int) -> CertifiedReal:
     under which the ratio tends to 1 as n grows.  The bound is at most
     2**-bits relative to max(1, |ratio|).
     """
+    from .core import kfib_order_k  # the one exact term here: rho loads no engine
+
     check_k(k)
     if type(n) is not int or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")

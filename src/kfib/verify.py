@@ -29,6 +29,7 @@ table by a shift, and renders a decimal only for a cell that is read.
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from itertools import chain, islice, repeat, starmap
 from operator import add, countOf, eq, mul
@@ -264,9 +265,6 @@ class _Decimals:
     def __init__(self, pairs: list[tuple[int, int]]):
         self.pairs = pairs
 
-    def __len__(self) -> int:
-        return len(self.pairs)
-
     def __getitem__(self, i: int) -> str:
         return _decimal(*self.pairs[i])
 
@@ -312,8 +310,9 @@ def run_suites(names, k_max: int = 6, n_max: int = 200) -> list[VerifyReport]:
         raise DomainError(f"unknown suite {unknown[0]!r}; the suites are {', '.join(SUITES)}")
     if type(k_max) is not int or k_max < 2:
         raise DomainError(f"k_max must be an integer >= 2, got {k_max!r}")
-    if type(n_max) is not int or n_max < 0:
-        raise DomainError(f"n_max must be a nonnegative integer, got {n_max!r}")
+    if type(n_max) is not int or not 0 <= n_max < sys.maxsize - k_max:
+        # the identities suite tabulates F[0..n_max+k_max], at most sys.maxsize terms
+        raise DomainError(f"n_max must be an integer in [0, sys.maxsize - k_max), got {n_max!r}")
     if "erratum" in names and n_max < 2:
         raise DomainError(f"the erratum suite needs n_max >= 2, got {n_max}")
     return [SWEEPS[name](k_max, n_max) for name in names]

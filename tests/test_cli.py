@@ -18,7 +18,7 @@ from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import kfib
-from kfib import cli, closed_forms, dominant_root, render, verify
+from kfib import binomial, cli, closed_forms, dominant_root, render, verify
 from kfib.cli import run
 from kfib.core import kfib_order_k
 from kfib.verify import verify_erratum, verify_identities, verify_series
@@ -49,6 +49,19 @@ def test_fib_all_skips_excluded_index(capsys):
     assert code == 0
     assert "[ordinary]" not in out
     assert "[ordinary-alt]" in out
+
+
+def test_fib_all_reports_a_disagreement(capsys, monkeypatch):
+    # one closed form made wrong through its module global in kfib.cli: every
+    # record still prints, the disagreement goes to stderr, and the exit is 4
+    cli._load("kfib_ordinary_alt")
+    monkeypatch.setattr(cli, "kfib_ordinary_alt", lambda k, n: 45)
+    code, out, err = run_capture(capsys, "fib", "--k", "3", "--n", "9", "--method", "all")
+    assert code == 4
+    assert out.splitlines() == [f"fib[{m}] k=3 n=9 -> {45 if m == 'ordinary-alt' else 44} (exact)"
+                                for m in cli.FIB_ENGINES]
+    assert err == ("method disagreement: recurrence=44, recurrence-k1=44, binomial=44, "
+                   "ordinary=44, ordinary-alt=45\n")
 
 
 def test_fib_all_below_k_uses_recurrences_only(capsys):
@@ -108,6 +121,20 @@ def test_usage_error_shows_the_commands_usage(capsys):
     _, _, err = run_capture(capsys, "rho", "--bits", "64")
     assert err == ("usage: kfib rho [-h] --k K [--bits BITS] [--epsilon]\n"
                    "kfib: error: missing required options: --k\n")
+
+
+@pytest.mark.parametrize("which, key, other", [
+    ("thm1", ("--n", "1"), ("--a", "5")),
+    ("thm2", ("--a", "-3"), ("--n", "7")),
+    ("thm3", ("--n", "4"), ("--a", "2")),
+])
+def test_series_refuses_an_option_its_theorem_does_not_take(capsys, which, key, other):
+    # thm1 and thm3 take --n, thm2 takes --a; the other one is not ignored
+    code, out, err = run_capture(capsys, "series", "--which", which, "--k", "2", *key, *other,
+                                 "--terms", "3")
+    assert code == 2 and out == ""
+    assert err == (f"{cli._usage('series')}\n"
+                   f"kfib: error: {other[0]} is not an option of --which {which}\n")
 
 
 def test_option_forms(capsys):
@@ -326,7 +353,8 @@ def test_verify_identities_sums_each_reflected_sum_once(monkeypatch):
     reflected = closed_forms._reflected_sum
     monkeypatch.setattr(closed_forms, "_reflected_sum",
                         lambda k, m0, e0: calls.append((k, m0)) or reflected(k, m0, e0))
-    monkeypatch.setattr(closed_forms, "binom", lambda a, b: binoms.append((a, b)))
+    # the closed forms import binom where they read it, from kfib.binomial
+    monkeypatch.setattr(binomial, "binom", lambda a, b: binoms.append((a, b)))
     report = verify_identities(3, 30)
     assert report.failures == 0
     assert sorted(calls) == [(k, m0) for k in (2, 3) for m0 in range(1, 30)]
@@ -510,11 +538,13 @@ NOT_LOADED = {
         "kfib.closed_forms", "kfib.binomial", "kfib.dyadic", "kfib.verify", *ANALYTIC,
         *RATIONALS},
     # the closed forms take check_k from kfib.errors and load no engine
+    # binom only for the misranged variant's tail
     **{("fib", "--k", "3", "--n", "9", "--method", method): {
         "kfib.dyadic", "kfib.verify", *ANALYTIC, *RATIONALS,
-        *(["kfib.core"] if method in ("binomial", "ordinary", "ordinary-alt") else [])}
+        *(["kfib.core"] if method in ("binomial", "ordinary", "ordinary-alt") else []),
+        *(["kfib.binomial"] if not method.startswith("recurrence") else [])}
        for method in (*cli.FIB_ENGINES, "all")},
-    ("rho", "--k", "2", "--epsilon"): {"kfib.series", "kfib.verify", "kfib.dyadic"},
+    ("rho", "--k", "2", "--epsilon"): {"kfib.core", "kfib.series", "kfib.verify", "kfib.dyadic"},
     ("asymptotic", "--k", "3", "--n", "100", "--ratio"): {
         "kfib.series", "kfib.verify", "kfib.dyadic"},
     ("series", "--which", "thm1", "--k", "2", "--n", "1"): {
@@ -802,6 +832,50 @@ def test_run_suites_refuses_unknown_suite_before_any_runs(monkeypatch):
     with pytest.raises(kfib.DomainError, match="'bogus'"):
         verify.run_suites(["engines", "bogus"])
     assert ran == []
+
+
+def test_run_suites_refuses_an_unreachable_n_max_before_any_runs(monkeypatch):
+    # the identities table runs to F[n_max+k_max]: a tuple holds at most sys.maxsize terms
+    ran = []
+    for name in verify.SWEEPS:
+        monkeypatch.setitem(verify.SWEEPS, name, lambda k_max, n_max: ran.append(n_max))
+    for n_max in (10**20, sys.maxsize - 6):
+        with pytest.raises(kfib.DomainError, match="sys.maxsize"):
+            verify.run_suites(verify.SUITES, 6, n_max)
+    verify.run_suites(verify.SUITES, 6, sys.maxsize - 7)
+    assert ran == [sys.maxsize - 7] * len(verify.SUITES)
+
+
+_HUGE = str(10**20)
+
+#: argv -> exit code at an order or index past sys.maxsize: a zero seed
+#: (n < k-1) is answered at any k, and an index n >= sys.maxsize, where
+#: islice stops counting, is a domain error, as is a verify n-max past it
+HUGE_ARGVS = {
+    ("fib", "--k", "99999999999999999999", "--n", "3"): 0,
+    ("fib", "--k", "99999999999999999999", "--n", "3", "--method", "recurrence-k1"): 0,
+    ("fib", "--k", "99999999999999999999", "--n", "3", "--method", "all"): 0,
+    ("fib", "--k", _HUGE, "--n", _HUGE): 3,
+    ("fib", "--k", _HUGE, "--n", _HUGE, "--method", "recurrence-k1"): 3,
+    ("fib", "--k", _HUGE, "--n", _HUGE, "--method", "all"): 3,
+    ("verify", "--n-max", "99999999999999999999", "--suite", "engines"): 3,
+    ("verify", "--n-max", "99999999999999999999", "--suite", "identities"): 3,
+}
+
+
+@pytest.mark.parametrize("argv", sorted(HUGE_ARGVS), ids=" ".join)
+def test_huge_orders_and_indices_end_without_a_traceback(argv):
+    proc = subprocess.run([sys.executable, "-m", "kfib.cli", *argv], env=_child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == HUGE_ARGVS[argv]
+    assert "Traceback" not in proc.stderr
+    if proc.returncode == 0:
+        assert proc.stderr == ""
+        assert [line.split(" -> ")[1] for line in proc.stdout.splitlines()] == [
+            "0 (exact)"] * (2 if "all" in argv else 1)
+    else:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("domain error:") and proc.stderr.count("\n") == 1
 
 
 # -- the option table against the argparse parser it replaced ---------------

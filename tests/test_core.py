@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import islice
@@ -224,6 +225,25 @@ def test_n_validation():
         kfib_order_k(2, -1)
     with pytest.raises(DomainError):
         count_compositions(2, 0)
+
+
+def test_zero_seeds_at_any_order():
+    # the first k-1 terms are zeros however large k is, past sys.maxsize too
+    for k in (10**20, sys.maxsize + 2):
+        assert kfib_order_k(k, 3) == kfib_order_k1(k, 3) == 0
+        assert kfib_table(k, 3) == (0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("fn", [kfib_order_k, kfib_order_k1, kfib_table])
+def test_index_from_sys_maxsize_is_refused(monkeypatch, fn):
+    # islice stops counting at sys.maxsize: such an index is a domain
+    # error before any step, whichever route it would take (the powering
+    # route is stubbed, so a missing check fails here instead of powering)
+    monkeypatch.setattr(core, "_power_term", lambda *args: pytest.fail("powered"))
+    for k, n in ((10**20, 10**20), (10**20, sys.maxsize), (2, sys.maxsize)):
+        with pytest.raises(DomainError, match="sys.maxsize"):
+            fn(k, n)
+    assert fn(2, 5) in (5, (0, 1, 1, 2, 3, 5))
 
 
 @given(st.integers(2, 7), st.integers(0, 120))
