@@ -17,6 +17,7 @@ true value.  Values that are never rounded stay exact.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 
 #: mantissa bits of a rounded radius; the radius only has to be an upper
@@ -41,41 +42,26 @@ def _round_up(r: Fraction) -> Fraction:
     return Fraction(-((-num) // (den << -shift)) << -shift)
 
 
-class CertifiedReal:
-    """An immutable ball: exact rationals ``approx`` and ``err >= 0``."""
+class CertifiedReal(namedtuple("CertifiedReal", "approx err")):
+    """An immutable ball, the record of exact rationals ``approx`` and ``err >= 0``,
+    with ball arithmetic in place of the tuple's ``+`` and ``*``, and no order."""
 
-    __slots__ = ("approx", "err")
+    __slots__ = ()
 
-    def __init__(self, approx, err):
+    def __new__(cls, approx, err):
         approx, err = _frac(approx), _frac(err)
         if err < 0:
             raise ValueError("error bound must be nonnegative")
-        object.__setattr__(self, "approx", approx)
-        object.__setattr__(self, "err", err)
+        return tuple.__new__(cls, (approx, err))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+    def _unordered(self, other):
+        raise TypeError("balls are not ordered: compare their lo and hi")
 
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if type(other) is not CertifiedReal:
-            return NotImplemented
-        return self.approx == other.approx and self.err == other.err
-
-    def __hash__(self):
-        return hash((self.approx, self.err))
-
-    def __repr__(self):
-        return f"CertifiedReal(approx={self.approx!r}, err={self.err!r})"
-
-    def __reduce__(self):
-        return CertifiedReal, (self.approx, self.err)
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
     @classmethod
     def exact(cls, value) -> "CertifiedReal":
-        return cls(_frac(value), Fraction(0))
+        return cls(value, 0)
 
     # -- interval endpoints --------------------------------------------
 

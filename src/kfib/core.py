@@ -176,19 +176,6 @@ def _order_k1_terms(k: int) -> Iterator[int]:
         window.append(term)
 
 
-def _powering_from(k: int, stop: int) -> int:
-    """The least n < stop at which ``_powers(k, n)`` holds, or ``stop``: the
-    rule is monotone in n, so a bisection finds it."""
-    lo, hi = 0, stop
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _powers(k, mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
 def kfib_order_k(k: int, n: int) -> int:
     """F[n] via the order-k rule F[m+k] = F[m] + ... + F[m+k-1].
 

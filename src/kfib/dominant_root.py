@@ -21,6 +21,7 @@ that still misses its target raises CertificationError.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .certified import CertifiedReal
@@ -99,6 +100,9 @@ def epsilon(k: int, bits: int) -> CertifiedReal:
     check_k(k)
     _check_bits(bits)
     grid = _grid(k, bits)
+    if (k + 1) * grid >= sys.maxsize:  # the bit length of p's numbers at this grid
+        raise DomainError(f"rho_{k} on the 2**-{grid} grid needs numbers of "
+                          f"{(k + 1) * grid} bits, past sys.maxsize")
     a = _root_numerator(k, grid)
     return CertifiedReal(Fraction((2 << grid) - a, 1 << grid), Fraction(1, 1 << grid))
 

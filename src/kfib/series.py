@@ -30,6 +30,7 @@ bridge.  The one Fraction of a sum is made when ``partial`` returns it.
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from collections.abc import Callable, Iterator
 from fractions import Fraction
@@ -53,9 +54,16 @@ _BLOCK = 64
 _START_TERMS = 4
 
 
+def _check_order(k: int) -> None:
+    """check_k, then DomainError where theta_k's k**k, of more than
+    k*(bit_length(k)-1) bits, would reach sys.maxsize bits."""
+    if check_k(k) * (k.bit_length() - 1) >= sys.maxsize:
+        raise DomainError(f"k**k at k={k} has more than sys.maxsize bits")
+
+
 def term_ratio_limit(k: int) -> Fraction:
     """Limit r_k of consecutive-term magnitude ratios, (k+1)**(k+1) / (k**k * 2**(k+1))."""
-    check_k(k)
+    _check_order(k)
     return Fraction((k + 1) ** (k + 1), k**k * 2 ** (k + 1))
 
 
@@ -204,7 +212,7 @@ def rho_power_series(k: int, n: int) -> _TailSeries:
     is rho_k**n; at n = 1 the k = 2 case is the classical golden-ratio
     series.
     """
-    check_k(k)
+    _check_order(k)
     if type(n) is not int or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
 
@@ -224,7 +232,7 @@ def hermite_series(k: int, a: int) -> _TailSeries:
 
     The limit equals 2**(a+1) * rho_k**(-a) / ((k+1) rho_k - 2k).
     """
-    check_k(k)
+    _check_order(k)
     if type(a) is not int:
         raise DomainError(f"a must be an integer, got {a!r}")
     return _TailSeries(_binom_row(k, a), k, 0, _row_ratio(k, a))
@@ -239,7 +247,7 @@ def asymptotic_series(k: int, n: int) -> _TailSeries:
     the first term of the series degenerates there and the identity's
     derivation relies on it.
     """
-    check_k(k)
+    _check_order(k)
     if type(n) is not int or n < 0:
         raise DomainError(f"n must be a nonnegative integer, got {n!r}")
     if n == 1:

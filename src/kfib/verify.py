@@ -24,19 +24,20 @@ and the ``pascal`` and ``reflection`` cells read each binom(a, b) of the
 window from one table.  The engines suite steps each k's order-(k+1)
 recurrence once, and calls ``kfib_order_k1`` only where it powers.  The
 erratum suite compares the misranged sum's exact (N, e) pair with the
-table by a shift, and renders a decimal only for a cell that is read.
+table by a shift, and renders each sum's decimal from that pair.
 """
 
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from collections import namedtuple
 from itertools import chain, islice, repeat, starmap
 from operator import add, countOf, eq, mul
 
 from .binomial import binom
 from .closed_forms import _erroneous_sum, kfib_binomial_shifted
-from .core import _order_k1_terms, _powering_from, count_compositions, kfib_order_k1, kfib_table
+from .core import _order_k1_terms, _powers, count_compositions, kfib_order_k1, kfib_table
 from .errors import DomainError
 
 #: window of the exhaustive binomial-identity sweeps
@@ -129,8 +130,8 @@ def verify_engines(k_max: int = 6, n_max: int = 200) -> VerifyReport:
     for k in range(2, k_max + 1):
         table = kfib_table(k, n_max)
         # one pass of the order-(k+1) stepping up to where the engine
-        # powers, then the engine itself
-        cut = _powering_from(k, n_max + 1)
+        # powers (the rule is monotone in n), then the engine itself
+        cut = bisect_left(range(n_max + 1), True, key=lambda n: _powers(k, n))
         actual = (*islice(_order_k1_terms(k), cut),
                   *map(kfib_order_k1, repeat(k), range(cut, n_max + 1)))
         cells.add(k, range(n_max + 1), _check("engine-agreement", table, actual))
@@ -250,26 +251,10 @@ def _decimal(total: int, e: int) -> str:
     places as its numerator, once odd, needs."""
     if e >= 0 or not total:
         return str(total << max(e, 0))
-    from .render import fixed  # only where a cell is read
+    from .render import fixed  # only the erratum suite renders
 
     zeros = min((total & -total).bit_length() - 1, -e)
     return fixed(total >> zeros, 1 << (-e - zeros), -e - zeros)
-
-
-class _Decimals:
-    """A column of dyadic rationals kept as (N, e) pairs and read as
-    ``_decimal`` strings, each rendered only when read."""
-
-    __slots__ = ("pairs",)
-
-    def __init__(self, pairs: list[tuple[int, int]]):
-        self.pairs = pairs
-
-    def __getitem__(self, i: int) -> str:
-        return _decimal(*self.pairs[i])
-
-    def __iter__(self):
-        return starmap(_decimal, self.pairs)
 
 
 def verify_erratum(k_max: int = 6, n_max: int = 200) -> VerifyReport:
@@ -277,7 +262,7 @@ def verify_erratum(k_max: int = 6, n_max: int = 200) -> VerifyReport:
     ns = range(2, n_max + 1)
     sums = list(map(_erroneous_sum, repeat(2), ns))
     table2 = kfib_table(2, max(n_max, 2))[2:]
-    cells.add(2, ns, _check("k2-agreement", table2, _Decimals(sums),
+    cells.add(2, ns, _check("k2-agreement", table2, list(starmap(_decimal, sums)),
                             list(map(_equals, sums, table2))))
     found = 0
     for k in range(3, k_max + 1):
@@ -288,8 +273,8 @@ def verify_erratum(k_max: int = 6, n_max: int = 200) -> VerifyReport:
             if not _equals(pair, table[n]):
                 ns.append(n)
                 sums.append(pair)
-        cells.add(k, ns, _check("divergence", [table[n] for n in ns], _Decimals(sums),
-                                [True] * len(ns)))
+        cells.add(k, ns, _check("divergence", [table[n] for n in ns],
+                                list(starmap(_decimal, sums)), [True] * len(ns)))
         found += len(ns)
     if k_max >= 5 and n_max >= 7:
         # the canonical witness: at (k, n) = (5, 7) the misranged sum picks

@@ -18,7 +18,7 @@ from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import kfib
-from kfib import binomial, cli, closed_forms, dominant_root, render, verify
+from kfib import binomial, cli, closed_forms, core, dominant_root, render, verify
 from kfib.cli import run
 from kfib.core import kfib_order_k
 from kfib.verify import verify_erratum, verify_identities, verify_series
@@ -448,6 +448,14 @@ def test_verify_engines_still_calls_the_powering_engine(monkeypatch):
     (report,) = verify.run_suites(["engines"], 6, 300)
     assert report.failures == 0
     assert calls == [(k, n) for k in range(2, 7) for n in range(256, 301)]
+    # where the first powered n is not 256 (256 n >= k**5 there), on either
+    # side of it: none below it, and one call per n from it on
+    for k, n0, n_maxes in ((10, 391, (390, 391, 401)), (11, 630, (630,))):
+        assert not core._powers(k, n0 - 1) and core._powers(k, n0)
+        for n_max in n_maxes:
+            calls.clear()
+            assert verify.verify_engines(k, n_max).failures == 0
+            assert [c for c in calls if c[0] == k] == [(k, n) for n in range(n0, n_max + 1)]
 
 
 def test_verify_erratum_counts_divergences():
@@ -848,13 +856,26 @@ def test_run_suites_refuses_an_unreachable_n_max_before_any_runs(monkeypatch):
 
 _HUGE = str(10**20)
 
+_K = "99999999999999999999"
+
 #: argv -> exit code at an order or index past sys.maxsize: a zero seed
 #: (n < k-1) is answered at any k, and an index n >= sys.maxsize, where
-#: islice stops counting, is a domain error, as is a verify n-max past it
+#: islice stops counting, is a domain error, as is a verify n-max past it;
+#: so is an order, index or precision at which the root's numbers, or the
+#: series' k**k, would reach sys.maxsize bits
 HUGE_ARGVS = {
-    ("fib", "--k", "99999999999999999999", "--n", "3"): 0,
-    ("fib", "--k", "99999999999999999999", "--n", "3", "--method", "recurrence-k1"): 0,
-    ("fib", "--k", "99999999999999999999", "--n", "3", "--method", "all"): 0,
+    ("rho", "--k", _K): 3,
+    ("rho", "--k", "3", "--bits", _K): 3,
+    ("asymptotic", "--k", _K, "--n", "5"): 3,
+    ("asymptotic", "--k", _K, "--n", "5", "--ratio"): 3,
+    ("asymptotic", "--k", "3", "--n", _K): 3,
+    ("asymptotic", "--k", "3", "--n", _K, "--ratio"): 3,
+    ("series", "--which", "thm1", "--k", _K, "--n", "1"): 3,
+    ("series", "--which", "thm2", "--k", _K, "--a", "1"): 3,
+    ("series", "--which", "thm3", "--k", _K, "--n", "2", "--terms", "3"): 3,
+    ("fib", "--k", _K, "--n", "3"): 0,
+    ("fib", "--k", _K, "--n", "3", "--method", "recurrence-k1"): 0,
+    ("fib", "--k", _K, "--n", "3", "--method", "all"): 0,
     ("fib", "--k", _HUGE, "--n", _HUGE): 3,
     ("fib", "--k", _HUGE, "--n", _HUGE, "--method", "recurrence-k1"): 3,
     ("fib", "--k", _HUGE, "--n", _HUGE, "--method", "all"): 3,

@@ -139,15 +139,6 @@ def _first_powered_n(k: int) -> int:
     return hi
 
 
-def test_powering_from_finds_the_rule_boundary():
-    # the first n < stop at which the rule powers, else stop
-    for k in range(2, 31):
-        n0 = _first_powered_n(k)
-        assert core._powering_from(k, n0 + 10) == n0, k
-        assert core._powering_from(k, n0) == n0, k
-        assert core._powering_from(k, n0 - 1) == n0 - 1, k
-
-
 MERSENNE_61 = 2**61 - 1
 
 

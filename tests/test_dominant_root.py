@@ -141,7 +141,7 @@ def test_ratio_deviation_shrinks():
         assert devs[0] > devs[1] > devs[2], (k, devs)
 
 
-def test_domain_validation():
+def test_domain_validation(monkeypatch):
     with pytest.raises(DomainError):
         epsilon(1, 64)
     with pytest.raises(DomainError):
@@ -150,6 +150,23 @@ def test_domain_validation():
         asymptotic(2, -1, 64)
     with pytest.raises(DomainError):
         asymptotic_ratio(2, 0, 64)
+    # p's numbers at the grid 4*bits + k + 8 have (k+1)*grid bits: at k = 3
+    # that is 16*bits + 44, which reaches sys.maxsize from bits = 2**59 - 2
+    class Started(Exception):
+        pass
+
+    def start(k, grid):
+        raise Started
+
+    monkeypatch.setattr(dominant_root, "_root_numerator", start)
+    with pytest.raises(Started):
+        epsilon(3, 2**59 - 3)
+    for call in (lambda: epsilon(3, 2**59 - 2), lambda: rho(10**20, 64),
+                 lambda: asymptotic(10**20, 5, 64), lambda: asymptotic(3, 2**60, 64),
+                 lambda: asymptotic_ratio(10**20, 5, 64),
+                 lambda: asymptotic_ratio(3, 2**60, 64)):
+        with pytest.raises(DomainError, match="sys.maxsize"):
+            call()
 
 
 SWEEP_K = (*range(2, 17), 20, 40, 64)

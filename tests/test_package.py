@@ -1,5 +1,7 @@
 import ast
 import importlib
+import json
+import operator
 import pickle
 import types
 from fractions import Fraction
@@ -8,10 +10,13 @@ from pathlib import Path
 import pytest
 
 import kfib
+from kfib import cli
 from kfib.certified import CertifiedReal
 from kfib.cli import OutputRecord
 from kfib.series import SeriesPartialSum
 from kfib.verify import VerifyCell, VerifyReport
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_public_name_resolves_to_its_home_object():
@@ -51,6 +56,22 @@ def test_certified_real_value_semantics():
     c = CertifiedReal(3, 0)
     assert type(c.approx) is Fraction and type(c.err) is Fraction
     assert c == CertifiedReal.exact(3)
+    # a record of two fields, with ball arithmetic in place of the tuple's
+    # + and *, and no order
+    approx, err = a
+    assert (approx, err) == (Fraction(1, 3), Fraction(1, 10)) and a == (approx, err)
+    for op in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            op(a, c)
+    for value in (a + b, 2 * a, a * 2, a - 1, sum([a, b])):
+        assert type(value) is CertifiedReal
+    assert 2 * a == a * 2 == a + b == sum([a, b]) == CertifiedReal(Fraction(2, 3), Fraction(1, 5))
+    # a pickle of the earlier form, a call CertifiedReal(approx, err), still loads
+    class Earlier:
+        def __reduce__(self):
+            return CertifiedReal, (Fraction(1, 3), Fraction(1, 10))
+
+    assert pickle.loads(pickle.dumps(Earlier())) == a
 
 
 def test_records_keep_fields_and_positional_construction():
@@ -95,7 +116,7 @@ def test_no_float_calls_in_the_package():
 
 def _load_tracer():
     # compiled from its text, so that no bytecode is written under perfbench/
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    path = ROOT / "perfbench" / "tracer.py"
     module = types.ModuleType("perfbench_tracer")
     exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
     return module
@@ -123,3 +144,33 @@ def test_benchmark_tracer_still_hooks_the_package():
         layer, _, name = target.partition(".")
         fn = getattr(importlib.import_module(f"kfib.{layer}"), name)
         assert fn.__module__ == f"kfib.{layer}", target
+
+
+def test_benchmark_tracer_traces_a_run_of_each_command():
+    # a traced pass as the benchmark makes one: every wrapped name must
+    # still exist, every span's layer be one of the tracer's, and each job's
+    # layer self times add up to its run, or ``metrics`` raises
+    tracer_module = _load_tracer()
+    argvs = (["fib", "--k", "3", "--n", "300"], ["rho", "--k", "3"],
+             ["series", "--which", "thm2", "--k", "3", "--a", "-2"],
+             ["asymptotic", "--k", "3", "--n", "40", "--ratio"],
+             ["verify", "--suite", "engines", "--n-max", "30"])
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        run = tracer.wrap(cli.run, "cli.run")
+        codes = []
+        for job_id, argv in enumerate(argvs):
+            tracer.job_id = job_id
+            codes.append(run(argv))
+    finally:
+        tracer.uninstall()
+    assert codes == [0] * len(argvs)
+    metrics = tracer.metrics([{"id": i, "sweep": argv[0]} for i, argv in enumerate(argvs)])
+    # the per-layer metrics the tracer reports, all but the three of run.py
+    names = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    assert names - {"cli.import_s", "verify.cells", "trace.overhead_s"} <= set(metrics)
+    for name in ("core.calls", "certified.ops", "dominant_root.rho_calls",
+                 "series.partial_calls", "cli.self_s"):
+        assert metrics[name] > 0, name
+    assert sorted(metrics["jobs"]) == list(range(len(argvs)))

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -172,6 +173,17 @@ def test_domain_validation():
         hermite_series(2, 0).partial(-1)
     with pytest.raises(DomainError):
         adaptive_partial(rho_power_series(2, 1).partial, Fraction(0))
+    # k**k has more than k*(bit_length(k)-1) bits: from where that reaches
+    # sys.maxsize, every builder refuses k before it builds a term or a ratio
+    k0 = -(-sys.maxsize // 57)
+    assert k0.bit_length() - 1 == (k0 - 1).bit_length() - 1 == 57
+    series_module._check_order(k0 - 1)
+    builders = (term_ratio_limit, lambda k: rho_power_series(k, 1),
+                lambda k: hermite_series(k, 0), lambda k: asymptotic_series(k, 2))
+    for k in (k0, 10**20):
+        for build in builders:
+            with pytest.raises(DomainError, match="sys.maxsize"):
+                build(k)
 
 
 def _same(term: Fraction, num: int, den: int, e: int) -> bool:
