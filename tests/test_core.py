@@ -1,6 +1,7 @@
 import random
 import sys
 import tracemalloc
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import islice
 
@@ -137,6 +138,17 @@ def _first_powered_n(k: int) -> int:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if core._powers(k, mid) else (mid, hi)
     return hi
+
+
+def test_powering_from_finds_the_rule_boundary():
+    # verify finds the first powered n < stop by bisecting over _powers, which
+    # needs it False below that n and True from it on
+    for k in range(2, 31):
+        n0 = _first_powered_n(k)
+        assert not any(core._powers(k, n) for n in range(max(0, n0 - 50), n0)), k
+        assert all(core._powers(k, n) for n in range(n0, n0 + 50)), k
+        for stop, cut in ((n0 + 10, n0), (n0, n0), (n0 - 1, n0 - 1)):
+            assert bisect_left(range(stop), True, key=lambda n: core._powers(k, n)) == cut, k
 
 
 MERSENNE_61 = 2**61 - 1
