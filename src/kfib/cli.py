@@ -21,7 +21,8 @@ command line prints a ``usage:`` line and ``kfib: error: ...`` on stderr.
 Exit codes: 0 success, 2 usage error (including a series option its
 theorem does not take), 3 domain error (including a series whose tail
 bound would need terms past the probe cap, a ``--tol`` outside
-[1e-400, 1e400], a recurrence index n >= sys.maxsize, and a verify range
+[1e-400, 1e400], a recurrence index n >= sys.maxsize, a request whose
+numbers would pass the size cap ``errors.MAX_BITS``, and a verify range
 with no cells or too long for a table), 4 verification failure, 5 a
 certificate that failed to verify (an internal error), and 141 (128 +
 SIGPIPE, what a shell reports for a writer that SIGPIPE ends) when the

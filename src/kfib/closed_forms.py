@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from math import perm
 
-from .errors import DomainError, IntegralityError, check_k
+from .errors import MAX_BITS, DomainError, IntegralityError, check_k
 
 TYPE_CHECKING = False  # true for type checkers; importing typing costs start-up time
 if TYPE_CHECKING:
@@ -41,10 +41,14 @@ if TYPE_CHECKING:
 
 
 def _check_index(k: int, n: int, least: int) -> None:
-    """check_k, then n an int >= least (not a bool); else DomainError."""
+    """check_k, then n an int >= least (not a bool) whose sum, of about n
+    bits, stays within MAX_BITS; else DomainError."""
     check_k(k)
     if type(n) is not int or n < least:
         raise DomainError(f"n must be an integer >= {least}, got {n!r}")
+    if n > MAX_BITS:
+        raise DomainError(f"the closed-form sum at n={n} needs about {n} bits, "
+                          f"past the cap of {MAX_BITS} bits")
 
 
 def _exact_int(total: int, e: int) -> int:

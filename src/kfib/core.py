@@ -16,7 +16,8 @@ operations.  Both windows start at F[k-1]: the terms before it are zero
 seeds, which need no slot and add nothing to a sum, so a window holds at
 most min(n-k+2, k+1) values however large k is, and only one holding more
 than k drops a stored term.  The zero seeds come at any k; an index from
-sys.maxsize on, where ``islice`` stops, is refused.  ``kfib_table`` takes
+sys.maxsize on, where ``islice`` stops, is refused, and so is one whose
+window or polynomial would pass ``errors.MAX_BITS``.  ``kfib_table`` takes
 the same order-k stepping as ``kfib_order_k``.  A brute-force composition
 counter provides an oracle that shares nothing with either recurrence.
 """
@@ -29,7 +30,7 @@ from collections.abc import Iterator
 from itertools import islice, repeat
 from operator import add
 
-from .errors import DomainError, OracleCapError, check_k
+from .errors import MAX_BITS, DomainError, OracleCapError, check_k
 
 ORACLE_CAP = 25
 
@@ -38,6 +39,16 @@ def _check_n(n: int, least: int = 0) -> int:
     if type(n) is not int or not least <= n < sys.maxsize:  # islice's indices end there
         raise DomainError(f"index n must be an integer in [{least}, sys.maxsize), got {n!r}")
     return n
+
+
+def _check_size(k: int, n: int) -> None:
+    """DomainError where the live numbers of F[n]'s route would pass
+    MAX_BITS: powering holds about k+1 coefficients of ~n bits, stepping a
+    window of min(n-k+2, k+1) terms of at most n bits (none at a zero seed)."""
+    terms = k + 1 if _powers(k, n) else max(0, min(n - k + 2, k + 1))
+    if terms * n > MAX_BITS:
+        raise DomainError(f"F[{n}] at order {k} needs {terms} numbers of {n} bits, "
+                          f"past the cap of {MAX_BITS} bits")
 
 
 def _powers(k: int, n: int) -> bool:
@@ -185,6 +196,7 @@ def kfib_order_k(k: int, n: int) -> int:
     """
     check_k(k)
     _check_n(n)
+    _check_size(k, n)
     if _powers(k, n):
         return _power_term([1] * k, [0] * (k - 1) + [1], n)
     return next(islice(_order_k_terms(k), n, None))
@@ -201,6 +213,7 @@ def kfib_order_k1(k: int, n: int) -> int:
     """
     check_k(k)
     _check_n(n)
+    _check_size(k, n)
     if _powers(k, n):
         return _power_term([-1] + [0] * (k - 1) + [2], [0] * (k - 1) + [1, 1], n)
     return next(islice(_order_k1_terms(k), n, None))

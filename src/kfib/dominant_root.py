@@ -21,11 +21,10 @@ that still misses its target raises CertificationError.
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 
 from .certified import CertifiedReal
-from .errors import CertificationError, DomainError, check_k
+from .errors import MAX_BITS, CertificationError, DomainError, check_k
 
 MIN_BITS = 8
 
@@ -100,9 +99,9 @@ def epsilon(k: int, bits: int) -> CertifiedReal:
     check_k(k)
     _check_bits(bits)
     grid = _grid(k, bits)
-    if (k + 1) * grid >= sys.maxsize:  # the bit length of p's numbers at this grid
+    if (k + 1) * grid > MAX_BITS:  # the bit length of p's numbers at this grid
         raise DomainError(f"rho_{k} on the 2**-{grid} grid needs numbers of "
-                          f"{(k + 1) * grid} bits, past sys.maxsize")
+                          f"{(k + 1) * grid} bits, past the cap of {MAX_BITS} bits")
     a = _root_numerator(k, grid)
     return CertifiedReal(Fraction((2 << grid) - a, 1 << grid), Fraction(1, 1 << grid))
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the check of the order k."""
+"""Exception types shared across the package, the check of the order k, and
+the size cap."""
 
 
 class DomainError(ValueError):
@@ -33,3 +34,9 @@ def check_k(k: int) -> int:
     if type(k) is not int or k < 2:
         raise DomainError(f"sequence order k must be an integer >= 2, got {k!r}")
     return k
+
+
+#: the most bits one request may hold in its largest number or structure,
+#: 2**33 bits (1 GiB); each route estimates that size from its arguments
+#: before it starts, and refuses a request past the cap with DomainError
+MAX_BITS = 2**33

@@ -30,14 +30,13 @@ bridge.  The one Fraction of a sum is made when ``partial`` returns it.
 
 from __future__ import annotations
 
-import sys
 from collections import namedtuple
 from collections.abc import Callable, Iterator
 from fractions import Fraction
 from itertools import chain
 
 from .binomial import binom_row as _binom_row
-from .errors import DomainError, IntegralityError, check_k
+from .errors import MAX_BITS, DomainError, IntegralityError, check_k
 
 #: terms bridged past anchor + 1, where the geometric bound may first start;
 #: as each later ratio is <= theta, bridging further never loosens the bound,
@@ -54,11 +53,18 @@ _BLOCK = 64
 _START_TERMS = 4
 
 
+#: bits the anchor holds per term-ratio quotient: a tuple of four ints and
+#: its two factors in ``_anchor``'s products, about 240 bytes in CPython
+_QUOTIENT_BITS = 2048
+
+
 def _check_order(k: int) -> None:
-    """check_k, then DomainError where theta_k's k**k, of more than
-    k*(bit_length(k)-1) bits, would reach sys.maxsize bits."""
-    if check_k(k) * (k.bit_length() - 1) >= sys.maxsize:
-        raise DomainError(f"k**k at k={k} has more than sys.maxsize bits")
+    """check_k, then DomainError where the anchor's k+1 quotients would pass
+    MAX_BITS.  Theta's (k+1)**(k+1), of (k+1)*bit_length(k+1) bits, is
+    smaller at every k below 2**2048, and past the cap from there on anyway."""
+    if (check_k(k) + 1) * _QUOTIENT_BITS > MAX_BITS:
+        raise DomainError(f"the tail anchor at k={k} needs {(k + 1) * _QUOTIENT_BITS} "
+                          f"bits, past the cap of {MAX_BITS} bits")
 
 
 def term_ratio_limit(k: int) -> Fraction:

@@ -7,24 +7,24 @@ additionally reports divergences of the deliberately misranged formula as
 informative (passing) cells, since divergence there is the expected
 behavior.
 
-A report keeps its cells as columns (``Cells``): a sweep appends blocks,
-each one k, an n column, and per check its expected, actual and ok
-columns.  A ``VerifyCell`` is built only when something iterates the
-cells, so a text report, which prints the counts and then the failing
+A report keeps its cells as columns (``Cells``), one per independent
+comparison: a check at one k, its n column, and its ok, expected and
+actual columns.  A ``VerifyCell`` is built only when something iterates
+the cells, so a text report, which prints the counts and then the failing
 and divergence cells, walks only the columns that hold one.
 
-The identities suite computes each closed-form sum once.
-``kfib_binomial(k, n)``, ``kfib_ordinary(k, n)`` and
-``kfib_ordinary_alt(k, n)`` return the same sum as
-``kfib_binomial_shifted(k, n-k+2)`` (the four forms are one reflected
-sum; see ``closed_forms``), so the ``shifted-sum``,
-``binomial-form``, ``ordinary-form`` and ``ordinary-alt-form`` cells at
-those indices share one value (tests check the four entry points agree),
-and the ``pascal`` and ``reflection`` cells read each binom(a, b) of the
-window from one table.  The engines suite steps each k's order-(k+1)
-recurrence once, and calls ``kfib_order_k1`` only where it powers.  The
-erratum suite compares the misranged sum's exact (N, e) pair with the
-table by a shift, and renders each sum's decimal from that pair.
+The identities suite computes each closed-form sum once, as
+``kfib_binomial_shifted(k, n)``, and checks it against the table
+(``shifted-sum``), its order-(k+1) recurrence and its initial values.
+``kfib_binomial``, ``kfib_ordinary`` and ``kfib_ordinary_alt`` return the
+same sum at n+k-2 (the four forms are one reflected sum; see
+``closed_forms``), so they add no independent comparison here; tests check
+that the four entry points agree.  The ``pascal`` and ``reflection`` cells
+read each binom(a, b) of the window from one table.  The engines suite
+steps each k's order-(k+1) recurrence once, and calls ``kfib_order_k1``
+only where it powers.  The erratum suite compares the misranged sum's
+exact (N, e) pair with the table by a shift, and renders each sum's
+decimal from that pair.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left
 from collections import namedtuple
-from itertools import chain, islice, repeat, starmap
-from operator import add, countOf, eq, mul
+from itertools import islice, repeat, starmap
+from operator import countOf, eq, mul
 
 from .binomial import binom
 from .closed_forms import _erroneous_sum, kfib_binomial_shifted
@@ -61,64 +61,47 @@ class VerifyReport(namedtuple("VerifyReport", "suite cells failures")):
 
 
 class Cells:
-    """A sweep's cells, kept as blocks of columns.
+    """A sweep's cells, kept as columns.
 
-    A block is one k, an n column, and per check a column tuple (check,
-    expected, actual, oks) of sequences as long as the n column.  Its cells
-    run n by n and, at each n, check by check, less the (n index, check
-    index) pairs it skips.  Iterating builds the VerifyCells in that order;
-    ``len`` and ``failures`` are counted from the columns.
+    A column is one check at one k: the tuple (check, k, ns, oks, expected,
+    actual), its last four sequences of one length.  Its cells run n by n,
+    and the columns in the order added.  Iterating builds the VerifyCells in
+    that order; ``len`` and ``failures`` are counted from the columns.
     """
 
-    __slots__ = ("blocks", "size", "failures")
+    __slots__ = ("columns", "size", "failures")
 
     def __init__(self):
-        self.blocks: list[tuple] = []
+        self.columns: list[tuple] = []
         self.size = 0
         self.failures = 0
 
-    def add(self, k: int, ns, *columns: tuple, skip: tuple = ()) -> None:
-        """Append a block: k, the n column, the column tuples, and the cells skipped."""
+    def add(self, check: str, k: int, ns, expected, actual, oks=None) -> None:
+        """Append a column, unless ``ns`` is empty; ``oks`` defaults to where
+        ``actual == expected``, found by one compare of the two columns where
+        they agree throughout."""
         if ns:
-            self.blocks.append((k, ns, columns, skip))
-            self.size += len(ns) * len(columns) - len(skip)
-            for column in columns:
-                self.failures += countOf(column[3], False)
-            for i, j in skip:
-                self.failures -= not columns[j][3][i]
+            if oks is None:
+                oks = [True] * len(ns) if actual == expected else list(map(eq, actual, expected))
+            self.columns.append((check, k, ns, oks, expected, actual))
+            self.size += len(ns)
+            self.failures += countOf(oks, False)
 
     def __len__(self) -> int:
         return self.size
 
     def __iter__(self):
-        for k, ns, columns, skip in self.blocks:
-            rows = list(chain.from_iterable(zip(*(
-                zip(repeat(check), repeat(k), ns, oks, expected, actual)
-                for check, expected, actual, oks in columns))))
-            for i, j in sorted(skip, reverse=True):
-                del rows[i * len(columns) + j]
-            yield from map(VerifyCell._make, rows)
+        for check, k, *sides in self.columns:
+            yield from map(VerifyCell._make, zip(repeat(check), repeat(k), *sides))
 
     def select(self, checks=()):
         """The cells that failed or whose check is in ``checks``, in order,
         read from only the columns that hold one."""
-        for k, ns, columns, skip in self.blocks:
-            picked = [(j, column) for j, column in enumerate(columns)
-                      if column[0] in checks or False in column[3]]
-            if not picked:
-                continue
-            for i, n in enumerate(ns):
-                for j, (check, expected, actual, oks) in picked:
-                    if (not oks[i] or check in checks) and (i, j) not in skip:
-                        yield VerifyCell(check, k, n, oks[i], expected[i], actual[i])
-
-
-def _check(check: str, expected, actual, oks=None) -> tuple:
-    """A column tuple; ``oks`` defaults to where ``actual == expected``,
-    found by one compare of the two columns where they agree throughout."""
-    if oks is None:
-        oks = [True] * len(actual) if actual == expected else list(map(eq, actual, expected))
-    return check, expected, actual, oks
+        for check, k, ns, oks, expected, actual in self.columns:
+            if check in checks or False in oks:
+                for n, ok, e, a in zip(ns, oks, expected, actual):
+                    if not ok or check in checks:
+                        yield VerifyCell(check, k, n, ok, e, a)
 
 
 def _report(suite: str, cells: Cells) -> VerifyReport:
@@ -134,17 +117,15 @@ def verify_engines(k_max: int = 6, n_max: int = 200) -> VerifyReport:
         cut = bisect_left(range(n_max + 1), True, key=lambda n: _powers(k, n))
         actual = (*islice(_order_k1_terms(k), cut),
                   *map(kfib_order_k1, repeat(k), range(cut, n_max + 1)))
-        cells.add(k, range(n_max + 1), _check("engine-agreement", table, actual))
+        cells.add("engine-agreement", k, range(n_max + 1), table, actual)
         ns = range(k, min(2 * k, n_max) + 1)
-        cells.add(k, ns, _check("initial-segment",
-                                [2 ** (n - k) if n < 2 * k else 2**k - 1 for n in ns],
-                                table[k:ns.stop]))
+        cells.add("initial-segment", k, ns,
+                  [2 ** (n - k) if n < 2 * k else 2**k - 1 for n in ns], table[k:ns.stop])
     last = min(12, n_max)
     for k in range(2, min(5, k_max) + 1):
         table = kfib_table(k, last + k - 1)
         ns = range(1, last + 1)
-        cells.add(k, ns, _check("composition-oracle",
-                                [count_compositions(k, n) for n in ns], table[k:]))
+        cells.add("composition-oracle", k, ns, [count_compositions(k, n) for n in ns], table[k:])
     return _report("engines", cells)
 
 
@@ -160,29 +141,24 @@ def verify_identities(k_max: int = 6, n_max: int = 200) -> VerifyReport:
     signs = [-1 if b & 1 else 1 for b in bs]
     flipped = [-s for s in signs]
     for a in bs:
-        actual, up = rows[a][1:], rows[a - 1]
+        row, up = rows[a], rows[a - 1]
+        # Pascal's rule holds on the window but at (0, 0): binom(-1, 0) + binom(-1, -1) = 2
+        ps = bs if a else [b for b in bs if b]
+        cells.add("pascal", a, ps, [up[b + w] + up[b + w + 1] for b in ps],
+                  [row[b + w + 1] for b in ps])
         sign = signs if a >= 0 else flipped[:a + w + 1] + signs[a + w + 1:]
         reflected = list(map(mul, sign, map(binom, range(-w - a - 1, w - a), bs)))
-        # per (a, b) a pascal cell, then a reflection cell; none for pascal at (0, 0)
-        cells.add(a, bs, _check("pascal", list(map(add, up, up[1:])), actual),
-                  _check("reflection", reflected, actual), skip=((w, 0),) if a == 0 else ())
+        cells.add("reflection", a, bs, reflected, row[1:])
     for k in range(2, k_max + 1):
         table = kfib_table(k, n_max + k)
         # sums[n] = kfib_binomial_shifted(k, n) for n >= 2
         sums = (0, 0, *map(kfib_binomial_shifted, repeat(k), range(2, n_max + 1)))
-        cells.add(k, range(2, n_max + 1), _check("shifted-sum", table[k:n_max + k - 1], sums[2:]))
+        cells.add("shifted-sum", k, range(2, n_max + 1), table[k:n_max + k - 1], sums[2:])
         recurred = [2 * u - v for u, v in zip(sums[k + 2:n_max], sums[2:])]
-        cells.add(k, range(2, n_max - k), _check("sum-recurrence", recurred, sums[k + 3:]))
+        cells.add("sum-recurrence", k, range(2, n_max - k), recurred, sums[k + 3:])
         ns = range(2, min(k + 2, n_max) + 1)
         initial = [2 ** (n - 2) for n in range(2, k + 2)] + [2**k - 1]
-        cells.add(k, ns, _check("sum-initial", initial[:len(ns)], sums[2:ns.stop]))
-        # kfib_binomial(k, n), kfib_ordinary(k, n) and kfib_ordinary_alt(k, n)
-        # all return sums[n-k+2] by construction: one column pair for three
-        # checks, and no ordinary-form cell at n = 2k-1
-        ns = range(k, n_max + 1)
-        form = _check("binomial-form", table[k:n_max + 1], sums[2:len(ns) + 2])
-        cells.add(k, ns, form, ("ordinary-form", *form[1:]), ("ordinary-alt-form", *form[1:]),
-                  skip=((k - 1, 1),) if 2 * k - 1 <= n_max else ())
+        cells.add("sum-initial", k, ns, initial[:len(ns)], sums[2:ns.stop])
     return _report("identities", cells)
 
 
@@ -198,8 +174,8 @@ def verify_series(k_max: int = 6, n_max: int = 200) -> VerifyReport:
     cells = Cells()
 
     def cell(check, k, n, expected, actual, ok=None):
-        """A one-cell block; ``ok`` defaults to ``actual == expected``."""
-        cells.add(k, (n,), _check(check, (expected,), (actual,), None if ok is None else (ok,)))
+        """A one-cell column; ``ok`` defaults to ``actual == expected``."""
+        cells.add(check, k, (n,), (expected,), (actual,), None if ok is None else (ok,))
 
     def sum_vs_ball(check, k, n, p, ball, places):
         """A partial sum p against a certified ball: ok where the two
@@ -262,8 +238,8 @@ def verify_erratum(k_max: int = 6, n_max: int = 200) -> VerifyReport:
     ns = range(2, n_max + 1)
     sums = list(map(_erroneous_sum, repeat(2), ns))
     table2 = kfib_table(2, max(n_max, 2))[2:]
-    cells.add(2, ns, _check("k2-agreement", table2, list(starmap(_decimal, sums)),
-                            list(map(_equals, sums, table2))))
+    cells.add("k2-agreement", 2, ns, table2, list(starmap(_decimal, sums)),
+              list(map(_equals, sums, table2)))
     found = 0
     for k in range(3, k_max + 1):
         table = kfib_table(k, max(n_max, k))
@@ -273,14 +249,14 @@ def verify_erratum(k_max: int = 6, n_max: int = 200) -> VerifyReport:
             if not _equals(pair, table[n]):
                 ns.append(n)
                 sums.append(pair)
-        cells.add(k, ns, _check("divergence", [table[n] for n in ns],
-                                list(starmap(_decimal, sums)), [True] * len(ns)))
+        cells.add("divergence", k, ns, [table[n] for n in ns], list(starmap(_decimal, sums)),
+                  [True] * len(ns))
         found += len(ns)
     if k_max >= 5 and n_max >= 7:
         # the canonical witness: at (k, n) = (5, 7) the misranged sum picks
         # up an extra 1/16 while the correct range is empty
-        cells.add(0, (0,), _check("divergence-exists", (">=1 divergence for some k >= 3",),
-                                  (found,), (found > 0,)))
+        cells.add("divergence-exists", 0, (0,), (">=1 divergence for some k >= 3",), (found,),
+                  (found > 0,))
     return _report("erratum", cells)
 
 

@@ -21,6 +21,7 @@ import kfib
 from kfib import binomial, cli, closed_forms, core, dominant_root, render, verify
 from kfib.cli import run
 from kfib.core import kfib_order_k
+from kfib.errors import MAX_BITS
 from kfib.verify import verify_erratum, verify_identities, verify_series
 
 
@@ -346,9 +347,8 @@ def test_verify_series_strings_are_exactly_rounded():
 
 
 def test_verify_identities_sums_each_reflected_sum_once(monkeypatch):
-    # binomial-form, ordinary-form and ordinary-alt-form read the shifted sum
-    # of the same (k, m0), not further copies of it, and the closed forms
-    # draw no coefficient from binom
+    # each shifted sum is summed once, and the closed forms draw no
+    # coefficient from binom
     calls, binoms = [], []
     reflected = closed_forms._reflected_sum
     monkeypatch.setattr(closed_forms, "_reflected_sum",
@@ -415,15 +415,19 @@ def test_one_wrong_sum_fails_exactly_its_cells(monkeypatch, capsys):
 
 def test_cell_counts_match_the_cells(monkeypatch):
     # len and failures come from the columns, the cells from iterating
-    # them: the two agree with every fourth comparison made to fail, the
-    # skipped Pascal and ordinary-form cells among them.  The binom window
-    # is cut to 5 (its (0, 0) skip stays), and the series suite, whose
-    # cells change with n-max only where its index lists end, runs at those
-    # n-max alone: both cost a root or a window per call
+    # them: the two agree with every fourth comparison made to fail.  Only
+    # a column whose two sides differ is compared cell by cell, so a wrong
+    # binom(1, 1) makes the Pascal and reflection columns that read it
+    # fail at every range, n-max 0 included.  The binom window is cut to 5,
+    # and the series suite, whose cells change with n-max only where its
+    # index lists end, runs at those n-max alone: both cost a root or a
+    # window per call
     ticks = count()
     monkeypatch.setattr(verify, "eq", lambda a, b: eq(a, b) and next(ticks) % 4 != 0)
     equals = verify._equals
     monkeypatch.setattr(verify, "_equals", lambda p, v: equals(p, v) and next(ticks) % 4 != 0)
+    binom = verify.binom
+    monkeypatch.setattr(verify, "binom", lambda a, b: binom(a, b) + ((a, b) == (1, 1)))
     monkeypatch.setattr(verify, "BINOM_WINDOW", 5)
     for k_max in range(2, 7):
         for n_max in range(0, 61):
@@ -456,6 +460,30 @@ def test_verify_engines_still_calls_the_powering_engine(monkeypatch):
             calls.clear()
             assert verify.verify_engines(k, n_max).failures == 0
             assert [c for c in calls if c[0] == k] == [(k, n) for n in range(n0, n_max + 1)]
+
+
+def test_a_karatsuba_fault_fails_verify_and_fib(monkeypatch, capsys):
+    # with the split from 64 bits on, both engines power through Karatsuba's
+    # branch of _square from n = 256; engine-agreement sets the powered
+    # order-(k+1) engine against the order-k stepping, and fib --method all
+    # against the closed forms, so a fault there fails both
+    monkeypatch.setattr(core, "_SPLIT_BITS", 64)
+    assert verify.verify_engines(4, 300).failures == 0
+    square = core._square
+
+    def faulty(poly):
+        sq = square(poly)
+        if len(poly) >= 4 and poly[-1].bit_length() >= core._SPLIT_BITS:
+            sq[len(poly) - 1] += 1
+        return sq
+
+    monkeypatch.setattr(core, "_square", faulty)
+    report = verify.verify_engines(4, 300)
+    failed = [c for c in report.cells if not c.ok]
+    assert report.failures == len(failed) > 0
+    assert {(c.check, c.n >= 256) for c in failed} == {("engine-agreement", True)}
+    code, _, err = run_capture(capsys, "fib", "--k", "4", "--n", "300", "--method", "all")
+    assert code == 4 and err.startswith("method disagreement: ")
 
 
 def test_verify_erratum_counts_divergences():
@@ -862,7 +890,7 @@ _K = "99999999999999999999"
 #: (n < k-1) is answered at any k, and an index n >= sys.maxsize, where
 #: islice stops counting, is a domain error, as is a verify n-max past it;
 #: so is an order, index or precision at which the root's numbers, or the
-#: series' k**k, would reach sys.maxsize bits
+#: series' tail anchor, would pass the 2**33-bit cap
 HUGE_ARGVS = {
     ("rho", "--k", _K): 3,
     ("rho", "--k", "3", "--bits", _K): 3,
@@ -897,6 +925,51 @@ def test_huge_orders_and_indices_end_without_a_traceback(argv):
     else:
         assert proc.stdout == ""
         assert proc.stderr.startswith("domain error:") and proc.stderr.count("\n") == 1
+
+
+#: argv whose numbers would pass the 2**33-bit cap, though each fits in an
+#: int: the root's (k+1)*grid bits, the tail anchor's k+1 quotients, a
+#: stepping window of k+1 terms of n bits, the powering polynomial's k+1
+#: coefficients, and the closed form's n-bit sum
+CAPPED_ARGVS = (
+    "rho --k 100000000",
+    "rho --k 1000000000",
+    "series --which thm2 --k 100000000 --a 1 --terms 3",
+    "series --which thm2 --k 1000000000 --a 1 --terms 3",
+    "fib --k 100000 --n 1000000",
+    "fib --k 3 --n 1000000000000",
+    "fib --k 3 --n 1000000000000 --method binomial",
+)
+
+
+@pytest.mark.parametrize("argv", CAPPED_ARGVS)
+def test_requests_past_the_size_cap_exit_3_at_once(argv):
+    # each is refused before it builds a number: under the child's 1 GiB
+    # address-space limit, one that built them would end in a MemoryError
+    # traceback or run on
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    started = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "kfib.cli", *argv.split()], env=_child_env(),
+                          capture_output=True, text=True, timeout=30, preexec_fn=limit)
+    assert time.perf_counter() - started < 1
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("domain error:") and proc.stderr.count("\n") == 1
+    assert f"cap of {MAX_BITS} bits" in proc.stderr
+
+
+def test_requests_below_the_size_cap_pass_it():
+    # fib --k 3 --n 3000000 powers, and fib --k 100 --n 400000 --method
+    # binomial sums, both well within 1 GiB; the checks alone run here
+    core._check_size(3, 3_000_000)
+    closed_forms._check_index(100, 400_000, 100)
+    # the cap itself: MAX_BITS bits pass, one more does not
+    closed_forms._check_index(2, MAX_BITS, 2)
+    with pytest.raises(kfib.DomainError, match=f"cap of {MAX_BITS} bits"):
+        closed_forms._check_index(2, MAX_BITS + 1, 2)
 
 
 # -- the option table against the argparse parser it replaced ---------------
@@ -1045,7 +1118,10 @@ def test_json_writer_matches_json_dumps(x):
 
 #: argv -> sha256 of stdout as printed when argparse read the command line
 #: and the json module wrote the records; re-pinned since: the thm1 series at
-#: 4e-150 (no 60-digit cap) and the series suite (strings exactly rounded)
+#: 4e-150 (no 60-digit cap), the series suite (strings exactly rounded), and
+#: the identities suite and all suites (no binomial-form, ordinary-form or
+#: ordinary-alt-form cells, and each a's Pascal cells before its reflection
+#: cells)
 GOLDEN_STDOUT = {
     "fib --k 3 --n 9": "b76baf6af34cdba21310e1496213a587d3090039337427575190c8d754e3efba",
     "--format json fib --k 3 --n 9 --method all": "7f41cf8bf731ae256f8a9cb09dfdc4eeb89110e7bfba3d15082bab407639b846",
@@ -1074,16 +1150,16 @@ GOLDEN_STDOUT = {
     "--format json verify --suite erratum --k-max 5 --n-max 30": "88d95903929247ca87dd505229044ac8d452d033b69ac42f25774b040d491325",
     "--format csv verify --suite engines --k-max 4 --n-max 40": "50660e9e29169bb5abea6c0951ee78c60d3e5d2b173c98e4835d0fc610100241",
     "--quiet verify --suite erratum --k-max 6 --n-max 40": "9e80c134fe29f0ab85e637915c415a18b2cf6286d434c863fe280d40c314e72c",
-    "--format json verify --suite identities --k-max 3 --n-max 30": "7f8765a36b9f5c4d3ca48129496838938677bfaa49f0a01b86e9b9ce18603f7a",
-    "--format csv verify --suite identities --k-max 3 --n-max 30": "6441b037ae22e6c8af004a3422289e668a6f354144d49227d3fe836601c777a6",
-    "--format csv verify --suite identities --k-max 6 --n-max 60": "70a82a930567b4198d4f8858a1b321af273bf7e59c8835c3dbeb00dc0d6f6049",
+    "--format json verify --suite identities --k-max 3 --n-max 30": "af8dc420edc4ce9ee1c747665619bd90f14f09facc48a827dcba84b50df89f63",
+    "--format csv verify --suite identities --k-max 3 --n-max 30": "091314260134f573f55779b231d46ad506ded56e87f62d499122ac6ff780dcb5",
+    "--format csv verify --suite identities --k-max 6 --n-max 60": "46b3016cd4c4e24c5cbd329665359e5ae814dfa44420f9c3ab3d6c889a569d22",
     "--format json verify --suite series --k-max 3 --n-max 10": "511a0175c81ed0ee983b3e5ce1776d33d0c211913c37b0f9bfd39b891b85b0f1",
-    "verify --k-max 3 --n-max 20": "caee374605f7ec5471df44fdea0cf0e6035cac68cc891477e055ba0cf29c0370",
+    "verify --k-max 3 --n-max 20": "da3af3feceee31185611f24f5085e51a7cf7a5f01de51b3d2715bcb79eb5a8b1",
     "verify --suite engines": "01e3348b41bbc6c10e4417517fdf228e2328088686238d25c07cee969c27c2a5",
-    "verify --suite identities": "dffbcf95aab4a074702d44bf177fd912c74b5a0e8c4b4137a5fb2c08d721ea5a",
+    "verify --suite identities": "fac1574d4278242e3a6998557f015fa12b93bcdc6c8bb5d1ea80e11f538fc346",
     "verify --suite erratum": "8341b833c2cd19ee23346aea783d38f9ba3b00af241d9e649598e846179c569e",
-    "--format csv verify --suite identities": "bc8bb0e7054469a1189d871922fc29cabe637727bf47129c59aa4a6834898b8e",
-    "--format json verify --suite identities": "5ea27afd3f38a53758e7c1932f67ceec0c1ec04e4ec8edfd12f3e03b2d85a615",
+    "--format csv verify --suite identities": "bcba560d8e5759094a869964b1b5800a06ba572839a06e025bad6ff9d45334f7",
+    "--format json verify --suite identities": "52e2b81ea521847030c826c7442e5e08bdac9c8d892fb171d0462183a2fafda7",
     "--format csv verify --suite erratum": "a058301f3d3ee3cb5b571a04adfee159a53743e6b75ea9e85cd9e32e6fd64d22",
     "--format json verify --suite erratum": "ca44096dfae46a080660edd84707722d9b56148344f58ee05705fbdc87c58e6d",
     "--format csv verify --suite engines": "0fcde69435b0d60919c992c86bd508cd97d913770770fdb5d81da37259ca9511",

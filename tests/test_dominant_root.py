@@ -10,7 +10,7 @@ from kfib.dominant_root import (
     epsilon,
     rho,
 )
-from kfib.errors import CertificationError, DomainError
+from kfib.errors import MAX_BITS, CertificationError, DomainError
 
 from oracles import (
     bisect_dominant_root,
@@ -151,7 +151,7 @@ def test_domain_validation(monkeypatch):
     with pytest.raises(DomainError):
         asymptotic_ratio(2, 0, 64)
     # p's numbers at the grid 4*bits + k + 8 have (k+1)*grid bits: at k = 3
-    # that is 16*bits + 44, which reaches sys.maxsize from bits = 2**59 - 2
+    # that is 16*bits + 44, which passes the 2**33-bit cap from bits = 2**29 - 2
     class Started(Exception):
         pass
 
@@ -160,12 +160,12 @@ def test_domain_validation(monkeypatch):
 
     monkeypatch.setattr(dominant_root, "_root_numerator", start)
     with pytest.raises(Started):
-        epsilon(3, 2**59 - 3)
-    for call in (lambda: epsilon(3, 2**59 - 2), lambda: rho(10**20, 64),
+        epsilon(3, 2**29 - 3)
+    for call in (lambda: epsilon(3, 2**29 - 2), lambda: rho(10**20, 64),
                  lambda: asymptotic(10**20, 5, 64), lambda: asymptotic(3, 2**60, 64),
                  lambda: asymptotic_ratio(10**20, 5, 64),
                  lambda: asymptotic_ratio(3, 2**60, 64)):
-        with pytest.raises(DomainError, match="sys.maxsize"):
+        with pytest.raises(DomainError, match=f"cap of {MAX_BITS} bits"):
             call()
 
 

@@ -1,4 +1,3 @@
-import sys
 from fractions import Fraction
 
 import pytest
@@ -7,7 +6,7 @@ from kfib import series as series_module
 from kfib.binomial import binom
 from kfib.closed_forms import kfib_binomial_shifted
 from kfib.dominant_root import asymptotic, rho
-from kfib.errors import DomainError, IntegralityError
+from kfib.errors import MAX_BITS, DomainError, IntegralityError
 from kfib.series import (
     _binom_row,
     adaptive_partial,
@@ -173,16 +172,16 @@ def test_domain_validation():
         hermite_series(2, 0).partial(-1)
     with pytest.raises(DomainError):
         adaptive_partial(rho_power_series(2, 1).partial, Fraction(0))
-    # k**k has more than k*(bit_length(k)-1) bits: from where that reaches
-    # sys.maxsize, every builder refuses k before it builds a term or a ratio
-    k0 = -(-sys.maxsize // 57)
-    assert k0.bit_length() - 1 == (k0 - 1).bit_length() - 1 == 57
+    # the anchor's k+1 quotients take 2048 bits each: from where that passes
+    # the 2**33-bit cap, every builder refuses k before it builds a term or
+    # a ratio
+    k0 = 2**22
     series_module._check_order(k0 - 1)
     builders = (term_ratio_limit, lambda k: rho_power_series(k, 1),
                 lambda k: hermite_series(k, 0), lambda k: asymptotic_series(k, 2))
     for k in (k0, 10**20):
         for build in builders:
-            with pytest.raises(DomainError, match="sys.maxsize"):
+            with pytest.raises(DomainError, match=f"cap of {MAX_BITS} bits"):
                 build(k)
 
 
