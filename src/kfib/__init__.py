@@ -1,8 +1,8 @@
 """Exact k-step Fibonacci numbers, binomial-sum identities, and certified
 dominant-root asymptotics.
 
-Everything is computed in exact arithmetic (integers, dyadic rationals,
-or rationals with explicit error bounds); no floating point enters any
+Everything is computed in exact arithmetic (integers, rationals, or
+rationals with explicit error bounds); no floating point enters any
 result.
 
 Importing the package loads none of its modules: each public name is
@@ -24,7 +24,6 @@ _EXPORTS = {
     "core": ("ORACLE_CAP", "count_compositions", "kfib_order_k", "kfib_order_k1",
              "kfib_table"),
     "dominant_root": ("asymptotic", "asymptotic_ratio", "epsilon", "rho"),
-    "dyadic": ("Dyadic",),
     "errors": ("CertificationError", "DomainError", "IntegralityError", "OracleCapError"),
     "series": ("SeriesPartialSum", "adaptive_partial", "asymptotic_series",
                "hermite_series", "rho_power_series", "term_ratio_limit"),

@@ -19,14 +19,14 @@ under its full name (no abbreviations), and its last repeat wins.
 command line prints a ``usage:`` line and ``kfib: error: ...`` on stderr.
 
 Exit codes: 0 success, 2 usage error (including a series option its
-theorem does not take), 3 domain error (including a series whose tail
-bound would need terms past the probe cap, a ``--tol`` outside
+theorem does not take), 3 domain error (including a ``--tol`` outside
 [1e-400, 1e400], a recurrence index n >= sys.maxsize, a request whose
-numbers would pass the size cap ``errors.MAX_BITS``, and a verify range
-with no cells or too long for a table), 4 verification failure, 5 a
-certificate that failed to verify (an internal error), and 141 (128 +
-SIGPIPE, what a shell reports for a writer that SIGPIPE ends) when the
-reader closes stdout before the output ends, as ``| head`` does.
+numbers would pass the size cap ``errors.MAX_BITS``, among them a series
+whose terms and a verify range whose tables would, and a verify range
+with no cells), 4 verification failure, 5 a certificate that failed to
+verify (an internal error), and 141 (128 + SIGPIPE, what a shell reports
+for a writer that SIGPIPE ends) when the reader closes stdout before the
+output ends, as ``| head`` does.
 """
 
 from __future__ import annotations
@@ -261,9 +261,9 @@ def _parse(argv: list[str]) -> tuple[str | None, dict | None]:
 
 def _run_fib(opts: dict) -> tuple[list[OutputRecord], int]:
     k, n, method = opts["k"], opts["n"], opts["method"]
-    methods = [method] if method != "all" else [
-        m for m in FIB_ENGINES  # the closed forms need n >= k, and ordinary n != 2k-1
-        if (n >= k or m.startswith("recurrence")) and (m, n) != ("ordinary", 2 * k - 1)]
+    # all: each independent route once; the closed forms are one sum, which needs n >= k
+    routes = ("recurrence", "recurrence-k1", "binomial")[:3 if n >= k else 2]
+    methods = [method] if method != "all" else routes
     params = {"k": str(k), "n": str(n)}
     records = [OutputRecord("fib", params, str(_load(FIB_ENGINES[m])(k, n)), True, None, m)
                for m in methods]

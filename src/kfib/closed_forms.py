@@ -37,7 +37,7 @@ from .errors import MAX_BITS, DomainError, IntegralityError, check_k
 
 TYPE_CHECKING = False  # true for type checkers; importing typing costs start-up time
 if TYPE_CHECKING:
-    from .dyadic import Dyadic
+    from fractions import Fraction
 
 
 def _check_index(k: int, n: int, least: int) -> None:
@@ -106,15 +106,6 @@ def kfib_binomial(k: int, n: int) -> int:
     return _exact_int(*_reflected_sum(k, n - k + 1, n - k))
 
 
-def _ordinary_term(k: int, n: int, el: int) -> int:
-    # the coefficient by its definition, for the misranged tail past the
-    # correct limit, where the tops are no longer all negative
-    from .binomial import binom  # only the misranged variant reads one binom
-
-    coeff = binom(n - (el + 1) * k + 2, el) - binom(n - (el + 1) * k, el - 2)
-    return -coeff if el & 1 else coeff
-
-
 def kfib_ordinary(k: int, n: int) -> int:
     """F[n] as an alternating sum of ordinary binomial coefficients.
 
@@ -149,28 +140,32 @@ def kfib_ordinary_alt(k: int, n: int) -> int:
 def _erroneous_sum(k: int, n: int) -> tuple[int, int]:
     """(N, e) with N * 2**e the misranged sum of ``kfib_ordinary_erroneous``:
     ``kfib_ordinary``'s sum, then at most one more Horner step for the term
-    past the correct limit, taken from the definition."""
+    past the correct limit, taken from the definition, where the tops are no
+    longer all negative."""
+    from .binomial import binom  # only the misranged variant reads one binom
+
     total, e = _reflected_sum(k, n - k + 1, n - k)
     for el in range((n - k + 1) // (k + 1) + 1, (n - 1) // (k + 1) + 1):
         # each tail term sits 2**(k+1) below the one before it
-        total = (total << (k + 1)) + _ordinary_term(k, n, el)
+        coeff = binom(n - (el + 1) * k + 2, el) - binom(n - (el + 1) * k, el - 2)
+        total = (total << (k + 1)) + (-coeff if el & 1 else coeff)
         e -= k + 1
     return total, e
 
 
-def kfib_ordinary_erroneous(k: int, n: int) -> Dyadic:
+def kfib_ordinary_erroneous(k: int, n: int) -> Fraction:
     """The ordinary-binomial sum with its range misextended to floor((n-1)/(k+1)).
 
     Reproduces a known-wrong published variant of the formula.  The result
-    is returned as an exact dyadic rational because it need not be an
-    integer; it coincides with F[n] for every n only when k = 2.  Kept so
-    the test suite can exhibit inputs where the extra terms matter.  Up to
+    is a Fraction because it need not be an integer (65/16 at (5, 7)); it
+    coincides with F[n] for every n only when k = 2.  Kept so the test
+    suite can exhibit inputs where the extra terms matter.  Up to
     the correct limit L = floor((n-k+1)/(k+1)) it is ``kfib_ordinary``'s
     sum; past it, at most one term (floor((n-1)/(k+1)) - L <= 1), see
     ``_erroneous_sum``.
     """
-    from .dyadic import Dyadic  # the one value here that need not be an integer
+    from fractions import Fraction  # the one value here that need not be an integer
 
     _check_index(k, n, k)
     total, e = _erroneous_sum(k, n)
-    return Dyadic(total, -e)
+    return Fraction(total << e) if e >= 0 else Fraction(total, 1 << -e)

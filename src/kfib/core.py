@@ -223,6 +223,9 @@ def kfib_table(k: int, n_max: int) -> tuple[int, ...]:
     """The tuple F[0..n_max], the first n_max + 1 terms of the order-k stepping."""
     check_k(k)
     _check_n(n_max)
+    if n_max * (n_max + 1) // 2 > MAX_BITS:  # F[j] < 2**j
+        raise DomainError(f"the table F[0..{n_max}] may need n_max(n_max+1)/2 bits, "
+                          f"past the cap of {MAX_BITS} bits")
     return tuple(islice(_order_k_terms(k), n_max + 1))
 
 

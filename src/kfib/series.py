@@ -43,9 +43,6 @@ from .errors import MAX_BITS, DomainError, IntegralityError, check_k
 #: and three keep the tail bounds and term counts the CLI's outputs pin
 _EXTRA_BRIDGE = 3
 
-#: the most terms past those summed that a tail bound may bridge
-_MAX_PROBE = 100_000
-
 #: terms summed by Horner's rule between two shifts of the long running sum
 _BLOCK = 64
 
@@ -177,9 +174,9 @@ class _TailSeries:
         # as g - 1 >= anchor, |sum over el >= g| <= |t[g-1]| theta / (1 - theta);
         # the terms from terms_used up to g are bridged by absolute value
         g = max(terms_used, self._end)
-        if g > terms_used + _MAX_PROBE:
-            raise DomainError(f"the tail bound needs terms up to index {g - 1}, beyond "
-                              f"the cap of {_MAX_PROBE} terms past the {terms_used} summed")
+        if self._shift * g * (g + 1) // 2 > MAX_BITS:  # term el holds about (k+1)*el bits
+            raise DomainError(f"the terms up to index {g - 1} need about (k+1)*L*(L+1)/2 bits "
+                              f"at L = {g}, past the cap of {MAX_BITS} bits")
         last = abs(self._coeff(g - 1))  # builds every term up to g - 1
         bridge = 0
         if terms_used < self._end:

@@ -29,16 +29,14 @@ decimal from that pair.
 
 from __future__ import annotations
 
-import sys
-from bisect import bisect_left
 from collections import namedtuple
-from itertools import islice, repeat, starmap
+from itertools import repeat, starmap
 from operator import countOf, eq, mul
 
 from .binomial import binom
 from .closed_forms import _erroneous_sum, kfib_binomial_shifted
 from .core import _order_k1_terms, _powers, count_compositions, kfib_order_k1, kfib_table
-from .errors import DomainError
+from .errors import MAX_BITS, DomainError
 
 #: window of the exhaustive binomial-identity sweeps
 BINOM_WINDOW = 50
@@ -112,11 +110,10 @@ def verify_engines(k_max: int = 6, n_max: int = 200) -> VerifyReport:
     cells = Cells()
     for k in range(2, k_max + 1):
         table = kfib_table(k, n_max)
-        # one pass of the order-(k+1) stepping up to where the engine
-        # powers (the rule is monotone in n), then the engine itself
-        cut = bisect_left(range(n_max + 1), True, key=lambda n: _powers(k, n))
-        actual = (*islice(_order_k1_terms(k), cut),
-                  *map(kfib_order_k1, repeat(k), range(cut, n_max + 1)))
+        # one pass of the order-(k+1) stepping, and the engine itself at
+        # each n where it powers
+        actual = [kfib_order_k1(k, n) if _powers(k, n) else f
+                  for n, f in zip(range(n_max + 1), _order_k1_terms(k))]
         cells.add("engine-agreement", k, range(n_max + 1), table, actual)
         ns = range(k, min(2 * k, n_max) + 1)
         cells.add("initial-segment", k, ns,
@@ -263,17 +260,23 @@ def verify_erratum(k_max: int = 6, n_max: int = 200) -> VerifyReport:
 def run_suites(names, k_max: int = 6, n_max: int = 200) -> list[VerifyReport]:
     """Run the named suites over k = 2..k_max and n up to n_max.
 
-    An unknown suite name, or a range in which a suite would check nothing,
-    is refused with DomainError before any suite runs.
+    An unknown suite name, a range in which a suite would check nothing,
+    or one whose tables would pass the size cap MAX_BITS, is refused with
+    DomainError before any suite runs.
     """
     unknown = [name for name in names if name not in SWEEPS]
     if unknown:
         raise DomainError(f"unknown suite {unknown[0]!r}; the suites are {', '.join(SUITES)}")
     if type(k_max) is not int or k_max < 2:
         raise DomainError(f"k_max must be an integer >= 2, got {k_max!r}")
-    if type(n_max) is not int or not 0 <= n_max < sys.maxsize - k_max:
-        # the identities suite tabulates F[0..n_max+k_max], at most sys.maxsize terms
-        raise DomainError(f"n_max must be an integer in [0, sys.maxsize - k_max), got {n_max!r}")
+    if type(n_max) is not int or n_max < 0:
+        raise DomainError(f"n_max must be an integer >= 0, got {n_max!r}")
+    # identities tabulates F[0..m], m = n_max + k_max, in fewer than m(m+1)/2
+    # bits, and its sums and the erratum suite's are as large
+    m = n_max + k_max
+    if m * (m + 1) // 2 > MAX_BITS:
+        raise DomainError(f"n_max + k_max = {m}: the table F[0..{m}] may need m(m+1)/2 bits, "
+                          f"past the cap of {MAX_BITS} bits")
     if "erratum" in names and n_max < 2:
         raise DomainError(f"the erratum suite needs n_max >= 2, got {n_max}")
     return [SWEEPS[name](k_max, n_max) for name in names]

@@ -136,3 +136,22 @@ def mpmath_asymptotic(k: int, n: int, bits: int, ratio: bool = False
         approx = _mp_fraction(value)
     rel = Fraction(abs(idx) + 2, 2 ** (prec - 1 - MP_SLACK_BITS))
     return approx, rel * max(1, abs(approx))
+
+
+def mpmath_series_limit(which: str, k: int, x: int, bits: int) -> tuple[Fraction, Fraction]:
+    """(approx, err) for the limit of the ``series --which`` sum at ``x`` (its
+    n or a), in mpmath at 2*bits + 64 bits plus the bits that rho**x
+    amplifies the root's error by: rho**x (thm1), 2**(x+1) rho**-x /
+    ((k+1) rho - 2k) (thm2), or the dominant term at index x (thm3)."""
+    if which == "thm3":
+        return mpmath_asymptotic(k, x, bits)
+    prec = 2 * bits + 64 + abs(x).bit_length()
+    with mpmath.workprec(prec):
+        r = _mp_root(k)
+        if which == "thm1":
+            value = r**x
+        else:
+            value = mpmath.mpf(2) ** (x + 1) * r ** (-x) / ((k + 1) * r - 2 * k)
+        approx = _mp_fraction(value)
+    rel = Fraction(abs(x) + 2, 2 ** (prec - 1 - MP_SLACK_BITS))
+    return approx, rel * max(1, abs(approx))

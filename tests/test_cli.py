@@ -37,32 +37,36 @@ def test_fib_single_method(capsys):
     assert "-> 44 (exact)" in out
 
 
+#: the independent routes of ``fib --method all``: the three closed forms
+#: other than the misranged one are one sum, so it runs as ``binomial`` only
+ALL_ROUTES = ("recurrence", "recurrence-k1", "binomial")
+
+
 def test_fib_all_methods(capsys):
     code, out, _ = run_capture(capsys, "fib", "--k", "3", "--n", "9", "--method", "all")
     assert code == 0
-    assert out.count("-> 44 (exact)") == 5
-    for m in ("recurrence", "recurrence-k1", "binomial", "ordinary", "ordinary-alt"):
-        assert f"[{m}]" in out
+    assert out.splitlines() == [f"fib[{m}] k=3 n=9 -> 44 (exact)" for m in ALL_ROUTES]
 
 
 def test_fib_all_skips_excluded_index(capsys):
+    # n = 2k-1 is excluded from --method ordinary alone; all runs no ordinary form
     code, out, _ = run_capture(capsys, "fib", "--k", "3", "--n", "5", "--method", "all")
     assert code == 0
-    assert "[ordinary]" not in out
-    assert "[ordinary-alt]" in out
+    assert out.splitlines() == [f"fib[{m}] k=3 n=5 -> 4 (exact)" for m in ALL_ROUTES]
+    code, out, err = run_capture(capsys, "fib", "--k", "3", "--n", "5", "--method", "ordinary")
+    assert code == 3 and out == "" and "n = 2k-1 = 5 is excluded" in err
 
 
 def test_fib_all_reports_a_disagreement(capsys, monkeypatch):
-    # one closed form made wrong through its module global in kfib.cli: every
+    # the closed form made wrong through its module global in kfib.cli: every
     # record still prints, the disagreement goes to stderr, and the exit is 4
-    cli._load("kfib_ordinary_alt")
-    monkeypatch.setattr(cli, "kfib_ordinary_alt", lambda k, n: 45)
+    cli._load("kfib_binomial")
+    monkeypatch.setattr(cli, "kfib_binomial", lambda k, n: 45)
     code, out, err = run_capture(capsys, "fib", "--k", "3", "--n", "9", "--method", "all")
     assert code == 4
-    assert out.splitlines() == [f"fib[{m}] k=3 n=9 -> {45 if m == 'ordinary-alt' else 44} (exact)"
-                                for m in cli.FIB_ENGINES]
-    assert err == ("method disagreement: recurrence=44, recurrence-k1=44, binomial=44, "
-                   "ordinary=44, ordinary-alt=45\n")
+    assert out.splitlines() == [f"fib[{m}] k=3 n=9 -> {45 if m == 'binomial' else 44} (exact)"
+                                for m in ALL_ROUTES]
+    assert err == "method disagreement: recurrence=44, recurrence-k1=44, binomial=45\n"
 
 
 def test_fib_all_below_k_uses_recurrences_only(capsys):
@@ -166,9 +170,7 @@ def test_json_records_schema(capsys):
                                "--n", "10", "--method", "all")
     assert code == 0
     records = json.loads(out)
-    assert [r["method"] for r in records] == [
-        "recurrence", "recurrence-k1", "binomial", "ordinary", "ordinary-alt",
-    ]
+    assert [r["method"] for r in records] == list(ALL_ROUTES)
     for r in records:
         assert r["value"] == "55"
         assert isinstance(r["value"], str)
@@ -513,7 +515,8 @@ def test_fib_beyond_int_str_digit_limit(capsys):
 
 
 def test_series_tail_cap_exits_3_fast(capsys):
-    # a tail anchor past the probe cap is known before any term is built
+    # a tail anchor whose terms would pass the size cap is known before any
+    # term is built
     for a in ("-250000", "-190000", "300000"):
         started = time.perf_counter()
         code, out, err = run_capture(capsys, "series", "--which", "thm2", "--k", "2",
@@ -618,18 +621,20 @@ def test_command_loads_only_its_layers(argv):
         assert "kfib.render" in after
 
 
-def test_only_the_erroneous_variant_loads_dyadic():
+def test_no_closed_form_loads_dyadic():
+    # the misranged variant returns a Fraction, and loads fractions only itself
     probe = """
 import sys
-from kfib.closed_forms import kfib_ordinary, kfib_ordinary_erroneous
-kfib_ordinary(5, 30)
-before = "kfib.dyadic" in sys.modules
-kfib_ordinary_erroneous(5, 7)
-print(repr([before, "kfib.dyadic" in sys.modules]))
+from kfib import closed_forms as cf
+cf.kfib_binomial_shifted(5, 30), cf.kfib_binomial(5, 30), cf.kfib_ordinary(5, 30)
+cf.kfib_ordinary_alt(5, 30)
+before = "fractions" in sys.modules
+value = cf.kfib_ordinary_erroneous(5, 7)
+print(repr([before, type(value).__name__, "kfib.dyadic" in sys.modules]))
 """
     proc = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
                           capture_output=True, text=True, timeout=60, check=True)
-    assert ast.literal_eval(proc.stdout) == [False, True]
+    assert ast.literal_eval(proc.stdout) == [False, "Fraction", False]
 
 
 def test_handlers_call_the_module_globals(capsys, monkeypatch):
@@ -871,15 +876,18 @@ def test_run_suites_refuses_unknown_suite_before_any_runs(monkeypatch):
 
 
 def test_run_suites_refuses_an_unreachable_n_max_before_any_runs(monkeypatch):
-    # the identities table runs to F[n_max+k_max]: a tuple holds at most sys.maxsize terms
+    # the identities table runs to F[n_max+k_max], fewer than m(m+1)/2 bits
+    # at m = n_max + k_max: the last m within the size cap is 131071
     ran = []
     for name in verify.SWEEPS:
         monkeypatch.setitem(verify.SWEEPS, name, lambda k_max, n_max: ran.append(n_max))
-    for n_max in (10**20, sys.maxsize - 6):
-        with pytest.raises(kfib.DomainError, match="sys.maxsize"):
-            verify.run_suites(verify.SUITES, 6, n_max)
-    verify.run_suites(verify.SUITES, 6, sys.maxsize - 7)
-    assert ran == [sys.maxsize - 7] * len(verify.SUITES)
+    m = 131071
+    assert m * (m + 1) // 2 <= MAX_BITS < (m + 1) * (m + 2) // 2
+    for k_max, n_max in ((6, 10**20), (6, sys.maxsize - 7), (6, m - 5), (10**20, 0)):
+        with pytest.raises(kfib.DomainError, match=f"cap of {MAX_BITS} bits"):
+            verify.run_suites(verify.SUITES, k_max, n_max)
+    verify.run_suites(verify.SUITES, 6, m - 6)
+    assert ran == [m - 6] * len(verify.SUITES)
 
 
 _HUGE = str(10**20)
@@ -888,9 +896,9 @@ _K = "99999999999999999999"
 
 #: argv -> exit code at an order or index past sys.maxsize: a zero seed
 #: (n < k-1) is answered at any k, and an index n >= sys.maxsize, where
-#: islice stops counting, is a domain error, as is a verify n-max past it;
-#: so is an order, index or precision at which the root's numbers, or the
-#: series' tail anchor, would pass the 2**33-bit cap
+#: islice stops counting, is a domain error; so is an order, index or
+#: precision at which the root's numbers, or the series' tail anchor, would
+#: pass the 2**33-bit cap, and so is a verify n-max whose tables would
 HUGE_ARGVS = {
     ("rho", "--k", _K): 3,
     ("rho", "--k", "3", "--bits", _K): 3,
@@ -928,17 +936,23 @@ def test_huge_orders_and_indices_end_without_a_traceback(argv):
 
 
 #: argv whose numbers would pass the 2**33-bit cap, though each fits in an
-#: int: the root's (k+1)*grid bits, the tail anchor's k+1 quotients, a
-#: stepping window of k+1 terms of n bits, the powering polynomial's k+1
-#: coefficients, and the closed form's n-bit sum
+#: int: the root's (k+1)*grid bits, the tail anchor's k+1 quotients, the
+#: series' cached terms of about (k+1)*el bits each, a stepping window of
+#: k+1 terms of n bits, the powering polynomial's k+1 coefficients, the
+#: closed form's n-bit sum, and a verify range whose table F[0..m],
+#: m = n_max + k_max, may hold m(m+1)/2 bits
 CAPPED_ARGVS = (
     "rho --k 100000000",
     "rho --k 1000000000",
     "series --which thm2 --k 100000000 --a 1 --terms 3",
     "series --which thm2 --k 1000000000 --a 1 --terms 3",
+    "series --which thm1 --k 2 --n 1 --terms 100000000000000000000",
     "fib --k 100000 --n 1000000",
     "fib --k 3 --n 1000000000000",
     "fib --k 3 --n 1000000000000 --method binomial",
+    "verify --suite engines --k-max 2 --n-max 1000000",
+    "verify --suite identities --k-max 2 --n-max 300000",
+    "verify --suite erratum --k-max 2 --n-max 1000000",
 )
 
 
@@ -970,6 +984,10 @@ def test_requests_below_the_size_cap_pass_it():
     closed_forms._check_index(2, MAX_BITS, 2)
     with pytest.raises(kfib.DomainError, match=f"cap of {MAX_BITS} bits"):
         closed_forms._check_index(2, MAX_BITS + 1, 2)
+    # a table F[0..m] may hold m(m+1)/2 bits (F[j] < 2**j): past the cap from m = 131072
+    for m in (131072, 10**9):
+        with pytest.raises(kfib.DomainError, match=f"cap of {MAX_BITS} bits"):
+            core.kfib_table(2, m)
 
 
 # -- the option table against the argparse parser it replaced ---------------
@@ -1121,11 +1139,11 @@ def test_json_writer_matches_json_dumps(x):
 #: 4e-150 (no 60-digit cap), the series suite (strings exactly rounded), and
 #: the identities suite and all suites (no binomial-form, ordinary-form or
 #: ordinary-alt-form cells, and each a's Pascal cells before its reflection
-#: cells)
+#: cells), and fib --method all (three routes: the closed forms are one sum)
 GOLDEN_STDOUT = {
     "fib --k 3 --n 9": "b76baf6af34cdba21310e1496213a587d3090039337427575190c8d754e3efba",
-    "--format json fib --k 3 --n 9 --method all": "7f41cf8bf731ae256f8a9cb09dfdc4eeb89110e7bfba3d15082bab407639b846",
-    "--format csv fib --k 3 --n 40 --method all": "b8787ed9b8c88f2af059b845218061bd0db2618d4c4494d7a54fac378e7d7b6a",
+    "--format json fib --k 3 --n 9 --method all": "bbe61f94674f02c67b93c143e7fdad4fa624ea904fcd32d7f9d5958f52e50367",
+    "--format csv fib --k 3 --n 40 --method all": "a246b9e7df1a376c51616178d75839824edc76c19531a41c1a2a26e6aa50964e",
     "--quiet fib --k 2 --n 100": "e6918f3499d94558fbf906814e4bcb3ea1368494fae732edeb54745ac17e40b4",
     "--format json fib --k 8 --n 2000 --method binomial": "8234eff86a89054ea46f34cafd6900c0cb90dbc047ea17583f8dbe0247d96961",
     "fib --k 5 --n 3 --method all": "896613fab67fb71c287a03f47e9ccdae8733b0064a995adf029c2593417f26e8",

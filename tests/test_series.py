@@ -254,15 +254,21 @@ def test_power_series_checks_each_division(monkeypatch):
 
 
 def test_tail_cap_refused_before_bridging():
-    # each proved anchor lies past the probe cap (a = -250000: the ordinary
-    # regime starts at el = 125000; a = -190000 and 300000: anchors near
-    # 240000 and 213000): the tail bound is refused before any term is built,
-    # also where the anchor search halves a thousand times
-    for a in (-250000, -190000, 300000, -10**300, 10**300):
-        series = hermite_series(2, a)
-        with pytest.raises(DomainError, match="cap"):
-            series.partial(4)
-        assert series._terms == [], a
+    # the terms up to each proved anchor would pass the size cap (a =
+    # -250000: the ordinary regime starts at el = 125000; a = -190000 and
+    # 300000: anchors near 240000 and 213000): the tail bound is refused
+    # before any term is built, also where the anchor search halves a
+    # thousand times
+    cases = [(hermite_series(2, a), 4) for a in (-250000, -190000, 300000, -10**300, 10**300)]
+    # so is a term count whose terms, of about (k+1)*el bits each, would:
+    # at k = 2 the last one within the cap is 75673
+    assert 3 * 75673 * 75674 // 2 <= MAX_BITS < 3 * 75674 * 75675 // 2
+    cases += [(rho_power_series(k, 1), terms) for k, terms in ((2, 75674), (40, 30000),
+                                                                (2, 10**20))]
+    for series, terms in cases:
+        with pytest.raises(DomainError, match=f"cap of {MAX_BITS} bits"):
+            series.partial(terms)
+        assert series._terms == [], terms
 
 
 # -- the integer sums against a Fraction oracle built from binom -----------
