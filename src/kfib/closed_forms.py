@@ -33,7 +33,8 @@ from __future__ import annotations
 
 from math import perm
 
-from .errors import MAX_BITS, DomainError, IntegralityError, check_k
+from . import errors
+from .errors import DomainError, IntegralityError
 
 TYPE_CHECKING = False  # true for type checkers; importing typing costs start-up time
 if TYPE_CHECKING:
@@ -43,12 +44,8 @@ if TYPE_CHECKING:
 def _check_index(k: int, n: int, least: int) -> None:
     """check_k, then n an int >= least (not a bool) whose sum, of about n
     bits, stays within MAX_BITS; else DomainError."""
-    check_k(k)
-    if type(n) is not int or n < least:
-        raise DomainError(f"n must be an integer >= {least}, got {n!r}")
-    if n > MAX_BITS:
-        raise DomainError(f"the closed-form sum at n={n} needs about {n} bits, "
-                          f"past the cap of {MAX_BITS} bits")
+    errors.check_k(k)
+    errors.check_bits(errors.check_int(n, "n", least), f"the closed-form sum at n={n}")
 
 
 def _exact_int(total: int, e: int) -> int:

@@ -30,7 +30,8 @@ from collections.abc import Iterator
 from itertools import islice, repeat
 from operator import add
 
-from .errors import MAX_BITS, DomainError, OracleCapError, check_k
+from . import errors
+from .errors import DomainError, OracleCapError
 
 ORACLE_CAP = 25
 
@@ -46,9 +47,7 @@ def _check_size(k: int, n: int) -> None:
     MAX_BITS: powering holds about k+1 coefficients of ~n bits, stepping a
     window of min(n-k+2, k+1) terms of at most n bits (none at a zero seed)."""
     terms = k + 1 if _powers(k, n) else max(0, min(n - k + 2, k + 1))
-    if terms * n > MAX_BITS:
-        raise DomainError(f"F[{n}] at order {k} needs {terms} numbers of {n} bits, "
-                          f"past the cap of {MAX_BITS} bits")
+    errors.check_bits(terms * n, f"F[{n}] at order {k}")
 
 
 def _powers(k: int, n: int) -> bool:
@@ -194,7 +193,7 @@ def kfib_order_k(k: int, n: int) -> int:
     ... - 1 and ends in ``_power_term`` from the seeds F[0..k-1], zero but
     for F[k-1] = 1; otherwise takes term n of the stepping.
     """
-    check_k(k)
+    errors.check_k(k)
     _check_n(n)
     _check_size(k, n)
     if _powers(k, n):
@@ -211,7 +210,7 @@ def kfib_order_k1(k: int, n: int) -> int:
     ``_power_term`` from those seeds; otherwise takes term n of
     ``_order_k1_terms``.
     """
-    check_k(k)
+    errors.check_k(k)
     _check_n(n)
     _check_size(k, n)
     if _powers(k, n):
@@ -221,11 +220,9 @@ def kfib_order_k1(k: int, n: int) -> int:
 
 def kfib_table(k: int, n_max: int) -> tuple[int, ...]:
     """The tuple F[0..n_max], the first n_max + 1 terms of the order-k stepping."""
-    check_k(k)
+    errors.check_k(k)
     _check_n(n_max)
-    if n_max * (n_max + 1) // 2 > MAX_BITS:  # F[j] < 2**j
-        raise DomainError(f"the table F[0..{n_max}] may need n_max(n_max+1)/2 bits, "
-                          f"past the cap of {MAX_BITS} bits")
+    errors.check_bits(n_max * (n_max + 1) // 2, f"the table F[0..{n_max}]")  # F[j] < 2**j
     return tuple(islice(_order_k_terms(k), n_max + 1))
 
 
@@ -238,7 +235,7 @@ def count_compositions(k: int, n: int) -> int:
     (the count equals F[n+k-1]).  n past ORACLE_CAP is refused with
     OracleCapError.
     """
-    check_k(k)
+    errors.check_k(k)
     _check_n(n, 1)
     if n > ORACLE_CAP:
         raise OracleCapError(f"oracle cap: n={n} exceeds the enumeration cap {ORACLE_CAP}; "

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import errors
 from .certified import CertifiedReal
-from .errors import MAX_BITS, CertificationError, DomainError, check_k
+from .errors import CertificationError
 
 MIN_BITS = 8
 
@@ -37,12 +38,6 @@ _GUARD = 32
 #: Newton steps allowed at the starting precision; from x = 2 the
 #: iterates fall monotonically onto rho_k and need far fewer
 _MAX_START_STEPS = 64
-
-
-def _check_bits(bits: int) -> int:
-    if type(bits) is not int or bits < MIN_BITS:
-        raise DomainError(f"bits must be an integer >= {MIN_BITS}, got {bits!r}")
-    return bits
 
 
 def _scaled_p(x: int, k: int, prec: int) -> int:
@@ -96,12 +91,9 @@ def _grid(k: int, bits: int) -> int:
 
 def epsilon(k: int, bits: int) -> CertifiedReal:
     """The gap eps_k = 2 - rho_k with certified error 2**-(4*bits + k + 8)."""
-    check_k(k)
-    _check_bits(bits)
-    grid = _grid(k, bits)
-    if (k + 1) * grid > MAX_BITS:  # the bit length of p's numbers at this grid
-        raise DomainError(f"rho_{k} on the 2**-{grid} grid needs numbers of "
-                          f"{(k + 1) * grid} bits, past the cap of {MAX_BITS} bits")
+    errors.check_k(k)
+    grid = _grid(k, errors.check_int(bits, "bits", MIN_BITS))
+    errors.check_bits((k + 1) * grid, f"rho_{k} on the 2**-{grid} grid")  # p's numbers
     a = _root_numerator(k, grid)
     return CertifiedReal(Fraction((2 << grid) - a, 1 << grid), Fraction(1, 1 << grid))
 
@@ -142,10 +134,9 @@ def asymptotic(k: int, n: int, bits: int) -> CertifiedReal:
     exactly the limit of the series evaluated by
     ``series.asymptotic_series``.
     """
-    check_k(k)
-    if type(n) is not int or n < 0:
-        raise DomainError(f"n must be a nonnegative integer, got {n!r}")
-    _check_bits(bits)
+    errors.check_k(k)
+    errors.check_int(n, "n", 0)
+    errors.check_int(bits, "bits", MIN_BITS)
     return _certify(_dominant_term(k, n, _working_precision(k, bits, n)), bits)
 
 
@@ -158,10 +149,9 @@ def asymptotic_ratio(k: int, n: int, bits: int) -> CertifiedReal:
     """
     from .core import kfib_order_k  # the one exact term here: rho loads no engine
 
-    check_k(k)
-    if type(n) is not int or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-    _check_bits(bits)
+    errors.check_k(k)
+    errors.check_int(n, "n", 1)
+    errors.check_int(bits, "bits", MIN_BITS)
     idx = n - k + 2
     prec = _working_precision(k, bits, idx)
     term = _dominant_term(k, idx, prec)

@@ -34,10 +34,10 @@ def scientific(n: int, m: int) -> tuple[int, int, int]:
     return e, n, m
 
 
-def digits_for(bound, cap: int = DIGITS_CAP) -> int:
-    """Digits after the point that a rational bound >= 0 supports, at most ``cap``."""
+def digits_for(bound) -> int:
+    """Digits after the point that a rational bound >= 0 supports, at most ``DIGITS_CAP``."""
     n, m = bound.numerator, bound.denominator
-    return min(cap, max(0, -scientific(n, m)[0])) if n > 0 else cap
+    return min(DIGITS_CAP, max(0, -scientific(n, m)[0])) if n > 0 else DIGITS_CAP
 
 
 def bound_decimal(n: int, m: int) -> str:

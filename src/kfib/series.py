@@ -35,8 +35,9 @@ from collections.abc import Callable, Iterator
 from fractions import Fraction
 from itertools import chain
 
+from . import errors
 from .binomial import binom_row as _binom_row
-from .errors import MAX_BITS, DomainError, IntegralityError, check_k
+from .errors import DomainError, IntegralityError
 
 #: terms bridged past anchor + 1, where the geometric bound may first start;
 #: as each later ratio is <= theta, bridging further never loosens the bound,
@@ -59,9 +60,7 @@ def _check_order(k: int) -> None:
     """check_k, then DomainError where the anchor's k+1 quotients would pass
     MAX_BITS.  Theta's (k+1)**(k+1), of (k+1)*bit_length(k+1) bits, is
     smaller at every k below 2**2048, and past the cap from there on anyway."""
-    if (check_k(k) + 1) * _QUOTIENT_BITS > MAX_BITS:
-        raise DomainError(f"the tail anchor at k={k} needs {(k + 1) * _QUOTIENT_BITS} "
-                          f"bits, past the cap of {MAX_BITS} bits")
+    errors.check_bits((errors.check_k(k) + 1) * _QUOTIENT_BITS, f"the tail anchor at k={k}")
 
 
 def term_ratio_limit(k: int) -> Fraction:
@@ -174,9 +173,8 @@ class _TailSeries:
         # as g - 1 >= anchor, |sum over el >= g| <= |t[g-1]| theta / (1 - theta);
         # the terms from terms_used up to g are bridged by absolute value
         g = max(terms_used, self._end)
-        if self._shift * g * (g + 1) // 2 > MAX_BITS:  # term el holds about (k+1)*el bits
-            raise DomainError(f"the terms up to index {g - 1} need about (k+1)*L*(L+1)/2 bits "
-                              f"at L = {g}, past the cap of {MAX_BITS} bits")
+        # term el holds about (k+1)*el bits
+        errors.check_bits(self._shift * g * (g + 1) // 2, f"the term cache up to index {g - 1}")
         last = abs(self._coeff(g - 1))  # builds every term up to g - 1
         bridge = 0
         if terms_used < self._end:
@@ -190,8 +188,7 @@ class _TailSeries:
         return _fraction(bridge * (td - tn) + last * tn, self._exp(g), td - tn)
 
     def partial(self, terms_used: int) -> SeriesPartialSum:
-        if type(terms_used) is not int or terms_used < 0:
-            raise DomainError(f"term count must be a nonnegative integer, got {terms_used!r}")
+        errors.check_int(terms_used, "term count", 0)
         tail = self.tail_bound(terms_used)  # first: it can refuse; else it builds the terms
         if terms_used < self._summed:
             self._total, self._summed = self.base, 0
@@ -216,8 +213,7 @@ def rho_power_series(k: int, n: int) -> _TailSeries:
     series.
     """
     _check_order(k)
-    if type(n) is not int or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
+    errors.check_int(n, "n", 1)
 
     def terms():  # -n * binom(...) / (el+1), each division checked exact
         for el, c in enumerate(_binom_row(k, k - n), 1):
@@ -236,8 +232,7 @@ def hermite_series(k: int, a: int) -> _TailSeries:
     The limit equals 2**(a+1) * rho_k**(-a) / ((k+1) rho_k - 2k).
     """
     _check_order(k)
-    if type(a) is not int:
-        raise DomainError(f"a must be an integer, got {a!r}")
+    errors.check_int(a, "a")
     return _TailSeries(_binom_row(k, a), k, 0, _row_ratio(k, a))
 
 
@@ -251,9 +246,7 @@ def asymptotic_series(k: int, n: int) -> _TailSeries:
     derivation relies on it.
     """
     _check_order(k)
-    if type(n) is not int or n < 0:
-        raise DomainError(f"n must be a nonnegative integer, got {n!r}")
-    if n == 1:
+    if errors.check_int(n, "n", 0) == 1:
         raise DomainError("n = 1 is excluded from the dominant-term series")
     # (binom(top, el) - binom(top, el-1)) * 2**(n - 2 - (k+1)*el), top = (k+1)*el - n;
     # binom(top, el-1) is the row at c = k+1-n one place back, and 0 at el = 0

@@ -33,10 +33,11 @@ from collections import namedtuple
 from itertools import repeat, starmap
 from operator import countOf, eq, mul
 
+from . import errors
 from .binomial import binom
 from .closed_forms import _erroneous_sum, kfib_binomial_shifted
 from .core import _order_k1_terms, _powers, count_compositions, kfib_order_k1, kfib_table
-from .errors import MAX_BITS, DomainError
+from .errors import DomainError
 
 #: window of the exhaustive binomial-identity sweeps
 BINOM_WINDOW = 50
@@ -267,16 +268,10 @@ def run_suites(names, k_max: int = 6, n_max: int = 200) -> list[VerifyReport]:
     unknown = [name for name in names if name not in SWEEPS]
     if unknown:
         raise DomainError(f"unknown suite {unknown[0]!r}; the suites are {', '.join(SUITES)}")
-    if type(k_max) is not int or k_max < 2:
-        raise DomainError(f"k_max must be an integer >= 2, got {k_max!r}")
-    if type(n_max) is not int or n_max < 0:
-        raise DomainError(f"n_max must be an integer >= 0, got {n_max!r}")
     # identities tabulates F[0..m], m = n_max + k_max, in fewer than m(m+1)/2
     # bits, and its sums and the erratum suite's are as large
-    m = n_max + k_max
-    if m * (m + 1) // 2 > MAX_BITS:
-        raise DomainError(f"n_max + k_max = {m}: the table F[0..{m}] may need m(m+1)/2 bits, "
-                          f"past the cap of {MAX_BITS} bits")
+    m = errors.check_int(k_max, "k_max", 2) + errors.check_int(n_max, "n_max", 0)
+    errors.check_bits(m * (m + 1) // 2, f"the table F[0..{m}] (m = n_max + k_max)")
     if "erratum" in names and n_max < 2:
         raise DomainError(f"the erratum suite needs n_max >= 2, got {n_max}")
     return [SWEEPS[name](k_max, n_max) for name in names]

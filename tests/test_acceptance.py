@@ -19,7 +19,6 @@ from kfib.closed_forms import (
 )
 from kfib.core import count_compositions, kfib_order_k1, kfib_table
 from kfib.dominant_root import asymptotic, asymptotic_ratio, rho
-from kfib.dyadic import Dyadic
 from kfib.series import adaptive_partial, asymptotic_series, hermite_series, rho_power_series
 
 from oracles import phi_reference
@@ -164,7 +163,8 @@ def test_c10_asymptotic_equivalence():
 
 def test_c11_erratum_regression():
     with criterion(11, "misranged sum: 4 + 1/16 at (5,7); full agreement at k=2"):
-        assert kfib_ordinary_erroneous(5, 7) == Dyadic(65, 4)  # 4 + 1/16
+        erroneous = kfib_ordinary_erroneous(5, 7)
+        assert erroneous == Fraction(65, 16) and type(erroneous) is Fraction  # 4 + 1/16
         assert kfib_ordinary(5, 7) == 4
         assert kfib_ordinary_erroneous(5, 7) != kfib_ordinary(5, 7)
         table = kfib_table(2, 300)

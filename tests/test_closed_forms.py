@@ -17,7 +17,6 @@ from kfib.closed_forms import (
     kfib_ordinary_erroneous,
 )
 from kfib.core import kfib_order_k, kfib_table
-from kfib.dyadic import Dyadic
 from kfib.errors import DomainError, IntegralityError
 
 from oracles import factorial_binom
@@ -158,7 +157,8 @@ def test_ordinary_variants_equivalent():
 
 def test_erroneous_known_values():
     assert kfib_ordinary_erroneous(2, 10) == 55
-    assert kfib_ordinary_erroneous(5, 7) == Dyadic(65, 4)  # 4 + 1/16
+    erroneous = kfib_ordinary_erroneous(5, 7)
+    assert erroneous == Fraction(65, 16) and type(erroneous) is Fraction  # 4 + 1/16
     assert kfib_ordinary_erroneous(3, 9) == 44  # extra term vanishes here
 
 
