@@ -25,7 +25,7 @@ from kfib.verify import run_suites
 
 SRC = Path(errors.__file__).parent
 
-INT_FORM = re.compile(r"\S+( \S+)* must be an integer( >= -?\d+)?, got \S+")
+INT_FORM = re.compile(r".+ must be an integer( >= -?\d+)?, got \S+")
 CAP_FORM = re.compile(rf"\S.* needs \d+ bits, past the cap of {MAX_BITS} bits")
 
 
