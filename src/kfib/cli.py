@@ -37,7 +37,7 @@ import time
 from collections import namedtuple
 from importlib import import_module
 
-from .errors import CertificationError, DomainError, IntegralityError, OracleCapError
+from .errors import CertificationError, DomainError, IntegralityError
 
 TYPE_CHECKING = False  # true for type checkers; importing typing costs start-up time
 if TYPE_CHECKING:
@@ -368,7 +368,7 @@ def run(argv: list[str] | None = None) -> int:
         command, message = exc.args
         print(f"{_usage(command)}\nkfib: error: {message}", file=sys.stderr)
         return 2
-    except (DomainError, OracleCapError) as exc:
+    except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
     except (CertificationError, IntegralityError) as exc:

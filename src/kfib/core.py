@@ -1,25 +1,26 @@
 """Reference engines for k-step Fibonacci numbers.
 
 The sequence starts with k-1 zeros followed by a one; every later term is
-the sum of its k predecessors.  Two independent engines compute it: the
-order-k rule, and the order-(k+1) two-term recurrence
-F[n+k+1] = 2*F[n+k] - F[n] it implies.  Each engine computes x**(n//2)
-modulo its own characteristic polynomial by binary powering (C. M.
-Fiduccia, SIAM J. Comput. 14, 1985), squaring by Karatsuba's split once
-the coefficients are large, O(k**1.6 M(n) log n) bit operations, and
-takes F[n] from it with k (or k+1) big products in place of a last
-squaring, where ``_powers`` finds that cheaper than stepping: for
-n >= 256 and 256*n >= k**5.  Otherwise it takes term n of its stepping
-generator, ``_order_k_terms`` or ``_order_k1_terms``, one per recurrence,
-which steps a window of the last k (or k+1) terms, O(n**2) bit
-operations.  Both windows start at F[k-1]: the terms before it are zero
-seeds, which need no slot and add nothing to a sum, so a window holds at
-most min(n-k+2, k+1) values however large k is, and only one holding more
-than k drops a stored term.  The zero seeds come at any k; an index from
+the sum of its k predecessors.  Two engines compute it, one by the
+order-k rule and one by the order-(k+1) two-term recurrence
+F[n+k+1] = 2*F[n+k] - F[n] it implies, and they differ only in the
+polynomial they power.  Each computes x**(n//2) modulo its own
+characteristic polynomial by binary powering (C. M. Fiduccia, SIAM J.
+Comput. 14, 1985), squaring by Karatsuba's split once the coefficients
+are large, O(k**1.6 M(n) log n) bit operations, and takes F[n] from it
+with k (or k+1) big products in place of a last squaring, where
+``_powers`` finds that cheaper than stepping: for n >= 256 and
+256*n >= k**5.  Otherwise both take term n of ``_order_k_terms``, which
+keeps the order-k rule's running sum and so steps the order-(k+1)
+recurrence, O(n**2) bit operations: below the cut the two engines are one
+stepping.  Its window starts at F[k-1]: the terms before it are zero
+seeds, which need no slot and add nothing to a sum, so it holds at most
+min(n-k+2, k+1) values however large k is, and drops a stored term only
+once it holds more than k.  The zero seeds come at any k; an index from
 sys.maxsize on, where ``islice`` stops, is refused, and so is one whose
 window or polynomial would pass ``errors.MAX_BITS``.  ``kfib_table`` takes
-the same order-k stepping as ``kfib_order_k``.  A brute-force composition
-counter provides an oracle that shares nothing with either recurrence.
+the same stepping.  A brute-force composition counter provides an oracle
+that shares nothing with either recurrence.
 """
 
 from __future__ import annotations
@@ -147,12 +148,15 @@ def _power_term(taps: list[int], seeds: list[int], n: int) -> int:
 
 
 def _order_k_terms(k: int) -> Iterator[int]:
-    """F[0], F[1], ... by the order-k rule F[m+k] = F[m] + ... + F[m+k-1].
+    """F[0], F[1], ... by the order-(k+1) recurrence, in running-sum form.
 
-    The window holds the last k terms from F[k-1] on, and ``total`` their
-    sum, the next term: a term older than F[k-1] is a zero seed, so it
-    neither needs a slot nor changes the sum when it leaves the window.  A
-    stored term leaves once the window, the new term appended, holds k+1.
+    Both engines step with it.  ``total``, the next term, is the sum of the
+    last k terms by the order-k rule, and each step doubles it and takes off
+    the term that leaves the window: F[m+k+1] = 2*F[m+k] - F[m].  The
+    window holds the terms from F[k-1] on: a term older than F[k-1] is a
+    zero seed, so it neither needs a slot nor changes the sum when it
+    leaves.  A stored term leaves once the window, the new term appended,
+    holds k+1.
     """
     # with more than sys.maxsize zero seeds, every index islice reaches is one
     yield from (repeat(0, k - 1) if k <= sys.maxsize else repeat(0))
@@ -165,25 +169,6 @@ def _order_k_terms(k: int) -> Iterator[int]:
         total += total
         if len(window) > k:
             total -= window.popleft()
-
-
-def _order_k1_terms(k: int) -> Iterator[int]:
-    """F[0], F[1], ... by the order-(k+1) recurrence F[m+k+1] = 2*F[m+k] - F[m].
-
-    The twin of ``_order_k_terms``: from the seeds F[k-1] = F[k] = 1 the
-    window holds F[k-1..m+k], at most k+1 terms, and F[m] is a zero seed
-    until the window holds more than k.
-    """
-    yield from (repeat(0, k - 1) if k <= sys.maxsize else repeat(0))
-    yield 1
-    window = deque([1, 1])  # F[k-1..m+k]
-    term = 1  # F[m+k]
-    while True:
-        yield term
-        term += term
-        if len(window) > k:
-            term -= window.popleft()
-        window.append(term)
 
 
 def kfib_order_k(k: int, n: int) -> int:
@@ -208,14 +193,14 @@ def kfib_order_k1(k: int, n: int) -> int:
     F[k] follows from one step of the order-k rule).  Where ``_powers``
     says so, powers x**(n//2) modulo x**(k+1) - 2*x**k + 1 and ends in
     ``_power_term`` from those seeds; otherwise takes term n of
-    ``_order_k1_terms``.
+    ``_order_k_terms``, which steps this recurrence.
     """
     errors.check_k(k)
     _check_n(n)
     _check_size(k, n)
     if _powers(k, n):
         return _power_term([-1] + [0] * (k - 1) + [2], [0] * (k - 1) + [1, 1], n)
-    return next(islice(_order_k1_terms(k), n, None))
+    return next(islice(_order_k_terms(k), n, None))
 
 
 def kfib_table(k: int, n_max: int) -> tuple[int, ...]:

@@ -10,8 +10,9 @@ each function a layer imports by name from another kfib module and has no
 its caller.  The refusals left in their modules are ``core._check_n``
 (islice stops at ``sys.maxsize``), ``kfib_ordinary`` at n = 2k-1,
 ``asymptotic_series`` at n = 1, ``adaptive_partial`` with tol <= 0,
-``run_suites`` with an unknown suite or erratum with n_max < 2, and
-``cli._tol``'s range.
+``run_suites`` with an unknown suite or erratum with n_max < 2,
+``cli._tol``'s range, and ``core.count_compositions`` past its cap
+(``OracleCapError``).
 """
 
 
@@ -19,11 +20,13 @@ class DomainError(ValueError):
     """An argument lies outside the mathematical domain of the operation."""
 
 
-class OracleCapError(ValueError):
+class OracleCapError(DomainError):
     """The brute-force oracle was asked for more work than its cap allows.
 
     Callers hitting this should switch to one of the recurrence engines;
-    the oracle exists only to cross-check them at small sizes.
+    the oracle exists only to cross-check them at small sizes.  It is a
+    DomainError, which the CLI maps to exit 3, but the CLI cannot reach it:
+    ``verify`` asks the oracle only for n <= 12 < ``core.ORACLE_CAP``.
     """
 
 

@@ -20,11 +20,13 @@ The identities suite computes each closed-form sum once, as
 same sum at n+k-2 (the four forms are one reflected sum; see
 ``closed_forms``), so they add no independent comparison here; tests check
 that the four entry points agree.  The ``pascal`` and ``reflection`` cells
-read each binom(a, b) of the window from one table.  The engines suite
-steps each k's order-(k+1) recurrence once, and calls ``kfib_order_k1``
-only where it powers.  The erratum suite compares the misranged sum's
-exact (N, e) pair with the table by a shift, and renders each sum's
-decimal from that pair.
+read each binom(a, b) of the window from one table.  Below the powering
+cut both recurrence engines take the one stepping ``kfib_table`` holds
+(see ``core``), so the engines suite compares ``kfib_order_k1`` with the
+table only where it powers; it also checks the table's first 2k+1 terms,
+zero seeds included, and the composition oracle.  The erratum suite
+compares the misranged sum's exact (N, e) pair with the table by a shift,
+and renders each sum's decimal from that pair.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from operator import countOf, eq, mul
 from . import errors
 from .binomial import binom
 from .closed_forms import _erroneous_sum, kfib_binomial_shifted
-from .core import _order_k1_terms, _powers, count_compositions, kfib_order_k1, kfib_table
+from .core import _powers, count_compositions, kfib_order_k1, kfib_table
 from .errors import DomainError
 
 #: window of the exhaustive binomial-identity sweeps
@@ -111,14 +113,14 @@ def verify_engines(k_max: int = 6, n_max: int = 200) -> VerifyReport:
     cells = Cells()
     for k in range(2, k_max + 1):
         table = kfib_table(k, n_max)
-        # one pass of the order-(k+1) stepping, and the engine itself at
-        # each n where it powers
-        actual = [kfib_order_k1(k, n) if _powers(k, n) else f
-                  for n, f in zip(range(n_max + 1), _order_k1_terms(k))]
-        cells.add("engine-agreement", k, range(n_max + 1), table, actual)
-        ns = range(k, min(2 * k, n_max) + 1)
-        cells.add("initial-segment", k, ns,
-                  [2 ** (n - k) if n < 2 * k else 2**k - 1 for n in ns], table[k:ns.stop])
+        # below the powering cut both engines take the stepping the table
+        # holds, so the order-(k+1) engine is compared only where it powers
+        ns = [n for n in range(n_max + 1) if _powers(k, n)]
+        cells.add("engine-agreement", k, ns, [table[n] for n in ns],
+                  [kfib_order_k1(k, n) for n in ns])
+        ns = range(min(2 * k, n_max) + 1)
+        initial = [0] * (k - 1) + [1] + [2**j for j in range(k)] + [2**k - 1]
+        cells.add("initial-segment", k, ns, initial[:len(ns)], table[:ns.stop])
     last = min(12, n_max)
     for k in range(2, min(5, k_max) + 1):
         table = kfib_table(k, last + k - 1)

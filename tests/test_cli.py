@@ -306,16 +306,31 @@ def test_verify_series_stays_in_its_range(capsys):
 
 
 def test_verify_engines_stays_in_its_range(capsys):
-    # initial-segment runs n = k..2k and composition-oracle n = 1..12, each
-    # cut at --n-max like engine-agreement
+    # initial-segment runs n = 0..2k and composition-oracle n = 1..12, each
+    # cut at --n-max; engine-agreement starts at the powering cut, n = 256
     code, out, _ = run_capture(capsys, "--format", "csv", "verify", "--suite", "engines",
                                "--k-max", "3", "--n-max", "4")
     assert code == 0
     rows = [line.split(",") for line in out.splitlines()[1:]]
     assert rows and all(int(n) <= 4 for _, _, _, n, *_ in rows)
     segment = {(int(k), int(n)) for _, check, k, n, *_ in rows if check == "initial-segment"}
-    assert segment == {(2, 2), (2, 3), (2, 4), (3, 3), (3, 4)}
+    assert segment == {(k, n) for k in (2, 3) for n in range(5)}
     assert sum(check == "composition-oracle" for _, check, *_ in rows) == 2 * 4
+
+
+def test_verify_engines_compares_only_where_the_engine_powers():
+    # below the cut both engines are the table's stepping, so engine-agreement
+    # starts where kfib_order_k1 powers; initial-segment checks F[0..2k]
+    def ns(report, check, k):
+        return [c.n for c in report.cells if (c.check, c.k) == (check, k)]
+
+    assert ns(verify.verify_engines(3, 300), "engine-agreement", 3) == list(range(256, 301))
+    assert ns(verify.verify_engines(10, 401), "engine-agreement", 10) == list(range(391, 402))
+    segment = [c for c in verify.verify_engines(4, 20).cells
+               if (c.check, c.k) == ("initial-segment", 4)]
+    assert [(c.n, c.expected) for c in segment] == [
+        (0, 0), (1, 0), (2, 0), (3, 1), (4, 1), (5, 2), (6, 4), (7, 8), (8, 15)]
+    assert all(c.ok for c in segment)
 
 
 def test_verify_series_strings_are_exactly_rounded():
@@ -1165,23 +1180,23 @@ GOLDEN_STDOUT = {
     "--quiet asymptotic --k 3 --n 200 --ratio": "59458f5358f8d31996e74de30ff43d1e589c7dcbc182372d1944194c382a3108",
     "verify --suite erratum --k-max 5 --n-max 30": "611ef12c25c6bd228e5bc381886656e89ae7f0ce3a5d682d4c1abddcef0e9613",
     "--format json verify --suite erratum --k-max 5 --n-max 30": "88d95903929247ca87dd505229044ac8d452d033b69ac42f25774b040d491325",
-    "--format csv verify --suite engines --k-max 4 --n-max 40": "50660e9e29169bb5abea6c0951ee78c60d3e5d2b173c98e4835d0fc610100241",
+    "--format csv verify --suite engines --k-max 4 --n-max 40": "d029f22125721c4cb7e417ba98c8bbfbc864517fec64ead6426d15a38c1c9c06",
     "--quiet verify --suite erratum --k-max 6 --n-max 40": "9e80c134fe29f0ab85e637915c415a18b2cf6286d434c863fe280d40c314e72c",
     "--format json verify --suite identities --k-max 3 --n-max 30": "af8dc420edc4ce9ee1c747665619bd90f14f09facc48a827dcba84b50df89f63",
     "--format csv verify --suite identities --k-max 3 --n-max 30": "091314260134f573f55779b231d46ad506ded56e87f62d499122ac6ff780dcb5",
     "--format csv verify --suite identities --k-max 6 --n-max 60": "46b3016cd4c4e24c5cbd329665359e5ae814dfa44420f9c3ab3d6c889a569d22",
     "--format json verify --suite series --k-max 3 --n-max 10": "511a0175c81ed0ee983b3e5ce1776d33d0c211913c37b0f9bfd39b891b85b0f1",
-    "verify --k-max 3 --n-max 20": "da3af3feceee31185611f24f5085e51a7cf7a5f01de51b3d2715bcb79eb5a8b1",
-    "verify --suite engines": "01e3348b41bbc6c10e4417517fdf228e2328088686238d25c07cee969c27c2a5",
+    "verify --k-max 3 --n-max 20": "ad816cb314a65d3aa8b8af643a47b783b1ca60df164d82c3776051699e1d4c0a",
+    "verify --suite engines": "d6b4078e69b6d093f0b3118737b7e3cbe8803368f240fc9cfd31e8444dff211d",
     "verify --suite identities": "fac1574d4278242e3a6998557f015fa12b93bcdc6c8bb5d1ea80e11f538fc346",
     "verify --suite erratum": "8341b833c2cd19ee23346aea783d38f9ba3b00af241d9e649598e846179c569e",
     "--format csv verify --suite identities": "bcba560d8e5759094a869964b1b5800a06ba572839a06e025bad6ff9d45334f7",
     "--format json verify --suite identities": "52e2b81ea521847030c826c7442e5e08bdac9c8d892fb171d0462183a2fafda7",
     "--format csv verify --suite erratum": "a058301f3d3ee3cb5b571a04adfee159a53743e6b75ea9e85cd9e32e6fd64d22",
     "--format json verify --suite erratum": "ca44096dfae46a080660edd84707722d9b56148344f58ee05705fbdc87c58e6d",
-    "--format csv verify --suite engines": "0fcde69435b0d60919c992c86bd508cd97d913770770fdb5d81da37259ca9511",
-    "--format json verify --suite engines": "bb9866986554cf74cf2091a85b5f7aba6b8958061d02027e48703c22de9ded3f",
-    "--format csv verify --suite engines --n-max 300": "4a9ee67ba39a7966639d8c4f84fff000438c2179312bf9e4f989799e8fb0eef5",
+    "--format csv verify --suite engines": "a2af651ba67862ffbb1288de0fd979ce8bc7b59c48c86f7ab53a5cded35f6b80",
+    "--format json verify --suite engines": "cfff0560e7d0865d279c7a10b1eafc89a777a28f277cea821ef50ca8726b7d99",
+    "--format csv verify --suite engines --n-max 300": "3eeb146b2651f3c216824ea9430fa35d135503cd939e7948f9f61e6624b74aaa",
 }
 
 

@@ -87,9 +87,10 @@ def test_each_route_matches_oracle(monkeypatch, route):
             assert kfib_order_k1(k, n) == expected, (k, n)
 
 
-def test_order_k1_terms_match_stepping_oracle():
+def test_order_k_terms_match_stepping_oracle():
+    # both engines step with this generator below the powering cut
     for k in range(2, 13):
-        assert list(islice(core._order_k1_terms(k), 300)) == [
+        assert list(islice(core._order_k_terms(k), 300)) == [
             kfib_stepping(k, n) for n in range(300)], k
 
 
@@ -212,6 +213,7 @@ def test_compositions_match_engine():
 def test_composition_cap():
     with pytest.raises(OracleCapError):
         count_compositions(2, 26)
+    assert issubclass(OracleCapError, DomainError)  # one handler in the CLI
     assert count_compositions(2, ORACLE_CAP) == kfib_order_k(2, ORACLE_CAP + 1)
 
 
