@@ -12,14 +12,16 @@ integers is divisible by b!.
 
 ``binom_row(k, c)`` walks the Lagrange-inversion coefficients
 ``binom((k+1)*el + c, el)`` by exact term ratios through every regime; the
-series draw on it.  The closed forms sum only negative-top rows and walk
-them by a positive ordinary-binomial ratio of their own.
+series draw on it.  The closed forms walk negative-top rows by a positive
+ratio of their own.  Both step by the factors that change: below el = k the
+ratio's two ``perm`` products share k - el factors, so step el multiplies
+min(el, k) + 1 factors and divides by min(el, k).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from math import comb, perm, prod
+from math import comb, perm
 
 
 def binom(a: int, b: int) -> int:
@@ -36,39 +38,27 @@ def binom(a: int, b: int) -> int:
     return -c if b & 1 else c
 
 
-def _run(low: int, count: int) -> int:
-    """low * (low+1) * ... * (low+count-1), by math.perm where the factors share a sign."""
-    if low > 0:
-        return perm(low + count - 1, count)
-    if low + count > 0:
-        return prod(range(low, low + count))  # a factor is 0
-    return -perm(-low, count) if count & 1 else perm(-low, count)
-
-
 def binom_row(k: int, c: int) -> Iterator[int]:
     """binom((k+1)*el + c, el) for el = 0, 1, 2, ...
 
-    With top = (k+1)*el + c and m = min(el, k), both sides of
-
-        binom(top+k+1, el+1) * (el+1) * (top-el+1) ... (top-el+m)
-            = binom(top, el) * (top+k+1-m) ... (top+k+1)
-
-    are the products top-el+1 .. top-el+m and top+k+1-el .. top+k+1 over
-    el!, for every integer top (el >= 0): negative tops, the zero region
-    0 <= top < el and the ordinary regime alike.  So each coefficient
-    follows from the previous one by two products of consecutive integers,
-    ``math.perm`` where their factors share a sign, and one exact division
-    wherever D = (top-el+1) ... (top-el+m) is nonzero.  D vanishes only
-    where k*el + c = top - el lies in [-m, -1], at most one step of the
-    row (a regime boundary); that coefficient comes from binom.
+    With top = (k+1)*el + c, hi = top+k+1, low = top-el+1, m = min(el, k),
+    binom(hi, el+1) * (el+1) * low ... (low+m-1) = binom(top, el) *
+    (hi-m) ... hi for every integer top (el >= 0).  Where every factor is
+    positive (low > 0), a step is one perm over another and an exact
+    division; where every factor is negative (hi < 0), the same on the
+    magnitudes, negated for the m+1 signs over m.  The steps between are
+    the zero region 0 <= top < el and its two edges, where the next
+    coefficient is binom(hi, el+1) itself, 0 across the region.
     """
     el, top, val = 0, c, 1
     while True:
         yield val
-        low, m = top - el + 1, min(el, k)
-        if low <= 0 < low + m:
-            val = binom(top + k + 1, el + 1)
+        hi, low, m = top + k + 1, top - el + 1, min(el, k)
+        if low > 0:
+            val = val * perm(hi, m + 1) // ((el + 1) * perm(low + m - 1, m))
+        elif hi < 0:
+            val = -(val * perm(m - hi, m + 1) // ((el + 1) * perm(-low, m)))
         else:
-            val = val * _run(top + k + 1 - m, m + 1) // ((el + 1) * _run(low, m))
+            val = binom(hi, el + 1)
         el += 1
         top += k + 1

@@ -5,14 +5,13 @@ c_el * 2**(e0 - (k+1)*el) with integer coefficients c_el.  Throughout the
 summed range every binomial top (k+1)*el - m0 - 1 is negative, so each
 coefficient is (-1)**el * C(m0 - k*el, el), an ordinary binomial, times a
 small exact rational.  ``_reflected_sum`` sums it in one loop: it walks
-that row by its term ratio perm(m-el, k+1) / ((el+1) * perm(m, k)),
-m = m0 - k*el, whose factors are all positive, so each entry costs two
-small ``perm`` products, one multiplication and one exact division, and
-accumulates by Horner's rule one plain integer N = sum c_el <<
-((k+1)*(L-el)), L the last index, whose value is N * 2**(e0 - (k+1)*L).
-Where that exponent is negative the claim "this truncated series is an
-integer" becomes "the low bits of N are zero", and it is executed on every
-call rather than assumed.
+that row by its positive term ratio, by the factors that change (the rule
+of ``kfib.binomial``), so each entry costs two ``perm`` products, one
+multiplication and one exact division, and accumulates by Horner's rule
+one plain integer N = sum c_el << ((k+1)*(L-el)), L the last index, whose
+value is N * 2**(e0 - (k+1)*L).  Where that exponent is negative the claim
+"this truncated series is an integer" becomes "the low bits of N are
+zero", and it is executed on every call rather than assumed.
 
 The four formulas are one sum.  ``kfib_binomial`` and
 ``kfib_binomial_shifted`` sum the coefficients binom(top, el) -
@@ -67,17 +66,21 @@ def _reflected_sum(k: int, m0: int, e0: int) -> tuple[int, int]:
     (-1)**el * (C(m, el) + C(m-1, el-1)) = binom(top, el) * (m+el) / m.
     One loop walks the row and sums it by Horner's rule, N = sum c_el <<
     ((k+1)*(L-el)): the next entry is C(m-k, el+1) = C(m, el) *
-    perm(m-el, k+1) / ((el+1) * perm(m, k)), every factor positive, and
-    the sign alternates through the divisor, ~el = -(el+1).  perm(m, k) > 0
-    before the last index because m >= el + k + 1 there, and no step is
-    taken past L, where it may be 0.
+    perm(m-el, k+1) / ((el+1) * perm(m, k)), or, with the k - el shared
+    factors cancelled below el = k, perm(m-k, el+1) / ((el+1) * perm(m, el)).
+    Every factor is positive, and the sign alternates through the divisor,
+    ~el = -(el+1).  The perms are nonzero before the last index because
+    m >= el + k + 1 there, and no step is taken past L, where they may be 0.
     """
     last = m0 // (k + 1)
     shift = k + 1
     a, m, total = 1, m0, 0
     for el in range(last):
         total = (total << shift) + a * (m + el) // m
-        a = a * perm(m - el, shift) // (~el * perm(m, k))
+        if el < k:
+            a = a * perm(m - k, el + 1) // (~el * perm(m, el))
+        else:
+            a = a * perm(m - el, shift) // (~el * perm(m, k))
         m -= k
     return (total << shift) + a * (m + last) // m, e0 - shift * last
 

@@ -32,7 +32,8 @@ def plain_factorial(n: int) -> int:
 
 def factorial_binom(a: int, b: int) -> int:
     """a! / (b! (a-b)!) for 0 <= b <= a, via the local factorial only."""
-    assert 0 <= b <= a
+    if not 0 <= b <= a:
+        raise ValueError(f"factorial_binom needs 0 <= b <= a, got ({a}, {b})")
     return plain_factorial(a) // (plain_factorial(b) * plain_factorial(a - b))
 
 
@@ -60,7 +61,8 @@ def bisect_dominant_root(k: int, iters: int = 300) -> tuple[Fraction, Fraction]:
 
     lo = Fraction(2) - Fraction(1, 2 ** (k - 1))
     hi = Fraction(2)
-    assert p(lo) < 0 < p(hi)
+    if not p(lo) < 0 < p(hi):
+        raise ArithmeticError(f"p has no sign change on the bisection bracket at k={k}")
     for _ in range(iters):
         mid = (lo + hi) / 2
         v = p(mid)

@@ -1,6 +1,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kfib import binomial
 from kfib.binomial import binom, binom_row
 
 from oracles import factorial_binom, plain_factorial
@@ -77,14 +78,35 @@ def test_negative_top_matches_falling_product():
 def test_binom_row_matches_binom_in_every_regime():
     # top = (k+1)*el + c runs through the negative tops, the zero region
     # 0 <= top < el and the ordinary regime top >= el; the row must agree
-    # with binom in all three and across both boundaries
-    for k in range(2, 9):
-        for c in range(-200, 61):
-            seen = set()
-            row = binom_row(k, c)
-            for el in range(max(0, -c) // k + 2 * k + 4):
-                top = (k + 1) * el + c
-                seen.add("negative" if top < 0 else "zero" if top < el else "ordinary")
-                assert next(row) == binom(top, el), (k, c, el)
-            if c <= -(k + 1) * k:
-                assert seen == {"negative", "zero", "ordinary"}, (k, c)
+    # with binom in all three and across both boundaries, also at large k,
+    # where the steps below el = k multiply fewer than k factors
+    cases = [(k, c) for k in range(2, 9) for c in range(-200, 61)]
+    cases += [(50, c) for c in (-2800, -2550, -357, -354, 0)]
+    cases += [(1000, c) for c in (-1001001, -7007, -7004, 0)]
+    for k, c in cases:
+        seen = set()
+        row = binom_row(k, c)
+        for el in range(max(0, -c) // k + min(2 * k, 20) + 4):
+            top = (k + 1) * el + c
+            seen.add("negative" if top < 0 else "zero" if top < el else "ordinary")
+            assert next(row) == binom(top, el), (k, c, el)
+        if c <= -(k + 1) * k:
+            assert seen == {"negative", "zero", "ordinary"}, (k, c)
+
+
+def test_binom_row_skips_perm_in_the_zero_region(monkeypatch):
+    # top = 3*el - 3000 lies in the zero region 0 <= top < el for
+    # el = 1000..1499; those coefficients come from binom, so 1600 terms
+    # (1599 steps) call perm twice on at most the 1099 steps landing outside it
+    calls = []
+    original = binomial.perm
+
+    def counted(n, r):
+        calls.append((n, r))
+        return original(n, r)
+
+    monkeypatch.setattr(binomial, "perm", counted)
+    row = binom_row(2, -3000)
+    for el in range(1600):
+        assert next(row) == binom(3 * el - 3000, el), el
+    assert len(calls) <= 2 * (1599 - 500)

@@ -178,16 +178,36 @@ FORMS = (kfib_binomial, kfib_ordinary, kfib_ordinary_alt)
 
 def test_reflected_sum_matches_factorial_oracle():
     # sum over 0 <= el <= m0 // (k+1) of (-1)**el * (C(m, el) + C(m-1, el-1))
-    # * 2**(e0 - (k+1)*el), m = m0 - k*el, against factorials by a local loop
-    for k in range(2, 10):
-        for m0 in range(1, 301):
-            want = Fraction(0)
-            for el in range(m0 // (k + 1) + 1):
-                m = m0 - k * el
-                c = factorial_binom(m, el) + (factorial_binom(m - 1, el - 1) if el else 0)
-                want += (-c if el & 1 else c) * Fraction(2) ** (-(k + 1) * el)
-            total, e = _reflected_sum(k, m0, 0)
-            assert total * Fraction(2) ** e == want, (k, m0)
+    # * 2**(e0 - (k+1)*el), m = m0 - k*el, against factorials by a local loop;
+    # at k = 40, 100 and 1000 every step has el < k
+    cases = [(k, m0) for k in range(2, 10) for m0 in range(1, 301)]
+    cases += [(k, m0) for k in (40, 100, 1000)
+              for m0 in (1, k, k + 1, 3 * k + 5, 7 * (k + 1) - 1, 12 * k)]
+    for k, m0 in cases:
+        want = Fraction(0)
+        for el in range(m0 // (k + 1) + 1):
+            m = m0 - k * el
+            c = factorial_binom(m, el) + (factorial_binom(m - 1, el - 1) if el else 0)
+            want += (-c if el & 1 else c) * Fraction(2) ** (-(k + 1) * el)
+        total, e = _reflected_sum(k, m0, 0)
+        assert total * Fraction(2) ** e == want, (k, m0)
+
+
+def test_reflected_sum_multiplies_only_the_factors_that_change(monkeypatch):
+    # kfib_binomial(1000, 100999) walks the row m0 = 100000 to el = 99 < k;
+    # step el cancels the k - el factors its two perms share, so it
+    # multiplies el+1 and el factors: sum(2*el + 1 for el < 99) = 9801 in
+    # all, where k+1 and k per step would be 198099
+    factors = []
+    original = closed_forms.perm
+
+    def counted(n, r):
+        factors.append(r)
+        return original(n, r)
+
+    monkeypatch.setattr(closed_forms, "perm", counted)
+    assert kfib_binomial(1000, 100999) == kfib_order_k(1000, 100999)
+    assert sum(factors) <= 9801
 
 
 def _misranged_tail(k, n):
