@@ -11,11 +11,12 @@ The result is always an exact integer: any product of b consecutive
 integers is divisible by b!.
 
 ``binom_row(k, c)`` walks the Lagrange-inversion coefficients
-``binom((k+1)*el + c, el)`` by exact term ratios through every regime; the
-series draw on it.  The closed forms walk negative-top rows by a positive
-ratio of their own.  Both step by the factors that change: below el = k the
-ratio's two ``perm`` products share k - el factors, so step el multiplies
-min(el, k) + 1 factors and divides by min(el, k).
+``binom((k+1)*el + c, el)`` by exact term ratios through every regime, and
+it is the one row walker: the series draw on it, and every closed form
+reads its row at c = -m0 - 1, all tops negative, multiplying entry el by
+(m + el) / m, m = m0 - k*el.  It steps by the factors that change: below
+el = k the ratio's two ``perm`` products share k - el factors, so step el
+multiplies min(el, k) + 1 factors and divides by min(el, k).
 """
 
 from __future__ import annotations
@@ -46,19 +47,23 @@ def binom_row(k: int, c: int) -> Iterator[int]:
     (hi-m) ... hi for every integer top (el >= 0).  Where every factor is
     positive (low > 0), a step is one perm over another and an exact
     division; where every factor is negative (hi < 0), the same on the
-    magnitudes, negated for the m+1 signs over m.  The steps between are
-    the zero region 0 <= top < el and its two edges, where the next
-    coefficient is binom(hi, el+1) itself, 0 across the region.
+    magnitudes, the m+1 signs over m folded into the divisor as
+    ~el = -(el+1).  The steps between are the zero region 0 <= top < el
+    and its two edges, where the next coefficient is binom(hi, el+1)
+    itself, 0 across the region.  hi and low advance by k+1 and k a step,
+    and m is taken by a comparison, cheaper than a ``min`` call on the
+    short rows the closed forms read.
     """
-    el, top, val = 0, c, 1
+    el, hi, low, val = 0, c + k + 1, c + 1, 1
     while True:
         yield val
-        hi, low, m = top + k + 1, top - el + 1, min(el, k)
+        m = el if el < k else k
         if low > 0:
             val = val * perm(hi, m + 1) // ((el + 1) * perm(low + m - 1, m))
         elif hi < 0:
-            val = -(val * perm(m - hi, m + 1) // ((el + 1) * perm(-low, m)))
+            val = val * perm(m - hi, m + 1) // (~el * perm(-low, m))
         else:
             val = binom(hi, el + 1)
         el += 1
-        top += k + 1
+        hi += k + 1
+        low += k

@@ -3,15 +3,14 @@
 Each sum is a truncated Lagrange-inversion series whose terms are
 c_el * 2**(e0 - (k+1)*el) with integer coefficients c_el.  Throughout the
 summed range every binomial top (k+1)*el - m0 - 1 is negative, so each
-coefficient is (-1)**el * C(m0 - k*el, el), an ordinary binomial, times a
-small exact rational.  ``_reflected_sum`` sums it in one loop: it walks
-that row by its positive term ratio, by the factors that change (the rule
-of ``kfib.binomial``), so each entry costs two ``perm`` products, one
-multiplication and one exact division, and accumulates by Horner's rule
-one plain integer N = sum c_el << ((k+1)*(L-el)), L the last index, whose
-value is N * 2**(e0 - (k+1)*L).  Where that exponent is negative the claim
-"this truncated series is an integer" becomes "the low bits of N are
-zero", and it is executed on every call rather than assumed.
+coefficient is binom(top, el) = (-1)**el * C(m0 - k*el, el) times a small
+exact rational.  ``_reflected_sum`` reads that row from
+``binomial.binom_row`` at c = -m0 - 1, multiplies each entry by
+(m + el) / m, and accumulates by Horner's rule one plain integer
+N = sum c_el << ((k+1)*(L-el)), L the last index, whose value is
+N * 2**(e0 - (k+1)*L).  Where that exponent is negative the claim "this
+truncated series is an integer" becomes "the low bits of N are zero", and
+it is executed on every call rather than assumed.
 
 The four formulas are one sum.  ``kfib_binomial`` and
 ``kfib_binomial_shifted`` sum the coefficients binom(top, el) -
@@ -23,16 +22,15 @@ that same coefficient, over the same range and powers of two.  So every
 form walks ``_reflected_sum`` once.  A deliberately misranged variant of
 the ordinary formula is kept as a regression artifact, because a
 published version of the formula used that wrong summation range: it is
-the same sum with at most one term appended, the one place that imports
-``binom``.  Every form checks k and then n >= k (n >= 2 for the shifted
-sum) in ``_check_index``; ``kfib_ordinary`` then refuses n = 2k-1.
+the same sum with at most one term appended, taken from ``binom``.  Every
+form checks k and then n >= k (n >= 2 for the shifted sum) in
+``_check_index``; ``kfib_ordinary`` then refuses n = 2k-1.
 """
 
 from __future__ import annotations
 
-from math import perm
-
 from . import errors
+from .binomial import binom, binom_row
 from .errors import DomainError, IntegralityError
 
 TYPE_CHECKING = False  # true for type checkers; importing typing costs start-up time
@@ -64,25 +62,16 @@ def _reflected_sum(k: int, m0: int, e0: int) -> tuple[int, int]:
     Every top is negative, so binom(top, el) = (-1)**el * C(m, el) with
     m = m0 - k*el >= el, m >= 1, and reflecting both coefficients gives
     (-1)**el * (C(m, el) + C(m-1, el-1)) = binom(top, el) * (m+el) / m.
-    One loop walks the row and sums it by Horner's rule, N = sum c_el <<
-    ((k+1)*(L-el)): the next entry is C(m-k, el+1) = C(m, el) *
-    perm(m-el, k+1) / ((el+1) * perm(m, k)), or, with the k - el shared
-    factors cancelled below el = k, perm(m-k, el+1) / ((el+1) * perm(m, el)).
-    Every factor is positive, and the sign alternates through the divisor,
-    ~el = -(el+1).  The perms are nonzero before the last index because
-    m >= el + k + 1 there, and no step is taken past L, where they may be 0.
+    The row is ``binom_row(k, -m0 - 1)``, read to L and no further, and
+    one loop sums it by Horner's rule, N = sum c_el << ((k+1)*(L-el)).
     """
     last = m0 // (k + 1)
     shift = k + 1
-    a, m, total = 1, m0, 0
-    for el in range(last):
+    m, total = m0, 0
+    for el, a in zip(range(last + 1), binom_row(k, -m0 - 1)):
         total = (total << shift) + a * (m + el) // m
-        if el < k:
-            a = a * perm(m - k, el + 1) // (~el * perm(m, el))
-        else:
-            a = a * perm(m - el, shift) // (~el * perm(m, k))
         m -= k
-    return (total << shift) + a * (m + last) // m, e0 - shift * last
+    return total, e0 - shift * last
 
 
 def kfib_binomial_shifted(k: int, n: int) -> int:
@@ -142,8 +131,6 @@ def _erroneous_sum(k: int, n: int) -> tuple[int, int]:
     ``kfib_ordinary``'s sum, then at most one more Horner step for the term
     past the correct limit, taken from the definition, where the tops are no
     longer all negative."""
-    from .binomial import binom  # only the misranged variant reads one binom
-
     total, e = _reflected_sum(k, n - k + 1, n - k)
     for el in range((n - k + 1) // (k + 1) + 1, (n - 1) // (k + 1) + 1):
         # each tail term sits 2**(k+1) below the one before it

@@ -41,9 +41,6 @@ class Dyadic:
     def as_fraction(self) -> Fraction:
         return Fraction(self.num, 1 << self.exp)
 
-    def is_integer(self) -> bool:
-        return self.exp == 0
-
     def as_integer(self) -> int:
         """The exact integer value; raises IntegralityError if fractional."""
         if self.exp != 0:

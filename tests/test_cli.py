@@ -592,11 +592,10 @@ NOT_LOADED = {
         "kfib.closed_forms", "kfib.binomial", "kfib.dyadic", "kfib.verify", *ANALYTIC,
         *RATIONALS},
     # the closed forms take check_k from kfib.errors and load no engine
-    # binom only for the misranged variant's tail
     **{("fib", "--k", "3", "--n", "9", "--method", method): {
         "kfib.dyadic", "kfib.verify", *ANALYTIC, *RATIONALS,
         *(["kfib.core"] if method in ("binomial", "ordinary", "ordinary-alt") else []),
-        *(["kfib.binomial"] if not method.startswith("recurrence") else [])}
+        *(["kfib.binomial"] if method.startswith("recurrence") else [])}
        for method in (*cli.FIB_ENGINES, "all")},
     ("rho", "--k", "2", "--epsilon"): {"kfib.core", "kfib.series", "kfib.verify", "kfib.dyadic"},
     ("asymptotic", "--k", "3", "--n", "100", "--ratio"): {

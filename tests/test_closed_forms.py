@@ -179,10 +179,12 @@ FORMS = (kfib_binomial, kfib_ordinary, kfib_ordinary_alt)
 def test_reflected_sum_matches_factorial_oracle():
     # sum over 0 <= el <= m0 // (k+1) of (-1)**el * (C(m, el) + C(m-1, el-1))
     # * 2**(e0 - (k+1)*el), m = m0 - k*el, against factorials by a local loop;
-    # at k = 40, 100 and 1000 every step has el < k
+    # at k = 40, 100 and 1000 the rows below stop before el = k, except
+    # k = 40, m0 = 45*41, whose row runs to L = 45 past it
     cases = [(k, m0) for k in range(2, 10) for m0 in range(1, 301)]
     cases += [(k, m0) for k in (40, 100, 1000)
               for m0 in (1, k, k + 1, 3 * k + 5, 7 * (k + 1) - 1, 12 * k)]
+    cases += [(40, 45 * 41)]
     for k, m0 in cases:
         want = Fraction(0)
         for el in range(m0 // (k + 1) + 1):
@@ -194,18 +196,18 @@ def test_reflected_sum_matches_factorial_oracle():
 
 
 def test_reflected_sum_multiplies_only_the_factors_that_change(monkeypatch):
-    # kfib_binomial(1000, 100999) walks the row m0 = 100000 to el = 99 < k;
-    # step el cancels the k - el factors its two perms share, so it
-    # multiplies el+1 and el factors: sum(2*el + 1 for el < 99) = 9801 in
-    # all, where k+1 and k per step would be 198099
+    # kfib_binomial(1000, 100999) reads binom_row's row at m0 = 100000 to
+    # el = 99 < k; step el cancels the k - el factors its two perms share,
+    # so it multiplies el+1 and el factors: sum(2*el + 1 for el < 99) = 9801
+    # in all, where k+1 and k per step would be 198099
     factors = []
-    original = closed_forms.perm
+    original = binomial.perm
 
     def counted(n, r):
         factors.append(r)
         return original(n, r)
 
-    monkeypatch.setattr(closed_forms, "perm", counted)
+    monkeypatch.setattr(binomial, "perm", counted)
     assert kfib_binomial(1000, 100999) == kfib_order_k(1000, 100999)
     assert sum(factors) <= 9801
 
@@ -272,8 +274,9 @@ def test_binom_calls_do_not_grow_with_n(monkeypatch):
         calls.append((a, b))
         return original(a, b)
 
-    # the closed forms import binom where they read it, so this one patch reaches it
+    # binom_row reads binom from its own module, the misranged tail from closed_forms
     monkeypatch.setattr(binomial, "binom", counted)
+    monkeypatch.setattr(closed_forms, "binom", counted)
     forms = FORMS + (kfib_binomial_shifted, kfib_ordinary_erroneous)
     for k in range(2, 9):
         for n in (4096, 4099):
