@@ -83,15 +83,10 @@ def test_binom_row_matches_binom_in_every_regime():
     cases = [(k, c) for k in range(2, 9) for c in range(-200, 61)]
     cases += [(50, c) for c in (-2800, -2550, -357, -354, 0)]
     cases += [(1000, c) for c in (-1001001, -7007, -7004, 0)]
-    cases = [(k, c, max(0, -c) // k + min(2 * k, 20) + 4) for k, c in cases]
-    # the rows the series draw on, deep: thm2 at c = a, thm1 at c = k - n,
-    # thm3 at c = -n and k + 1 - n
-    cases += [(k, c, 300) for k in range(2, 7) for c in range(-60, 41)]
-    cases += [(k, c, 40) for k in (40, 1000) for c in (-3 * k, -k - 1, -1, 0, k - 1)]
-    for k, c, depth in cases:
+    for k, c in cases:
         seen = set()
         row = binom_row(k, c)
-        for el in range(depth):
+        for el in range(max(0, -c) // k + min(2 * k, 20) + 4):
             top = (k + 1) * el + c
             seen.add("negative" if top < 0 else "zero" if top < el else "ordinary")
             assert next(row) == binom(top, el), (k, c, el)

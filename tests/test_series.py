@@ -194,6 +194,26 @@ def _same(term: Fraction, num: int, den: int, e: int) -> bool:
     return term.numerator * den == num * term.denominator
 
 
+def test_binom_rows_match_binom():
+    # every coefficient row the three series draw on for k = 2..6,
+    # a in [-40, 40] (thm2: c = a) and n <= 60 (thm1: c = k - n; thm3:
+    # c = -n and k + 1 - n): the exact-ratio recurrence of the ordinary
+    # regime, and its hand-over from binom at the regime's start, agree
+    # with binom term by term
+    for k in range(2, 7):
+        for c in range(-60, 41):
+            row = _binom_row(k, c)
+            for el in range(300):
+                assert next(row) == binom((k + 1) * el + c, el), (k, c, el)
+    # at large k the step products run over all-negative, mixed and
+    # all-positive factors, and the negative tops reach the zero region
+    for k in (40, 1000):
+        for c in (-3 * k, -k - 1, -1, 0, k - 1):
+            row = _binom_row(k, c)
+            for el in range(40):
+                assert next(row) == binom((k + 1) * el + c, el), (k, c, el)
+
+
 def test_terms_match_binom_per_term_definition():
     for k in range(2, 7):
         step = k + 1
