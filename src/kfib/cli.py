@@ -320,7 +320,8 @@ def _run_series(opts: dict) -> tuple[list[OutputRecord], int]:
     if terms is not None:
         p, method = _load(builder)(k, opts[key]).partial(terms), f"{which}-partial"
     else:
-        params["tol"] = tol = "1e-12" if tol is None else tol
+        # Fraction and int skip surrounding whitespace; the record must not carry it
+        params["tol"] = tol = "1e-12" if tol is None else tol.strip()
         bound = _tol(tol)
         # one series for the whole run: each doubling extends its running sum
         p = _load("adaptive_partial")(_load(builder)(k, opts[key]).partial, bound)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import IntegralityError
 
 
@@ -30,21 +28,13 @@ class Dyadic:
             shift = min(trailing, exp)
             num >>= shift
             exp -= shift
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "exp", exp)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Dyadic is immutable")
-
-    # -- conversions ---------------------------------------------------
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, 1 << self.exp)
+        self.num = num
+        self.exp = exp
 
     def as_integer(self) -> int:
         """The exact integer value; raises IntegralityError if fractional."""
         if self.exp != 0:
-            raise IntegralityError(f"{self!r} is not an integer")
+            raise IntegralityError(f"Dyadic({self.num}, {self.exp}) is not an integer")
         return self.num
 
     # -- arithmetic ----------------------------------------------------
@@ -91,66 +81,3 @@ class Dyadic:
     def scale_pow2(self, e: int) -> "Dyadic":
         """Multiply by 2**e (e may be negative)."""
         return Dyadic(self.num, self.exp - e)
-
-    # -- comparisons ---------------------------------------------------
-
-    def _cmp_key(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return None
-        e = max(self.exp, other.exp)
-        return self.num << (e - self.exp), other.num << (e - other.exp)
-
-    def __eq__(self, other):
-        if isinstance(other, Fraction):
-            return self.as_fraction() == other
-        key = self._cmp_key(other)
-        if key is None:
-            return NotImplemented
-        return key[0] == key[1]
-
-    def __lt__(self, other):
-        key = self._cmp_key(other)
-        if key is None:
-            return NotImplemented
-        return key[0] < key[1]
-
-    def __le__(self, other):
-        key = self._cmp_key(other)
-        if key is None:
-            return NotImplemented
-        return key[0] <= key[1]
-
-    def __gt__(self, other):
-        key = self._cmp_key(other)
-        if key is None:
-            return NotImplemented
-        return key[0] > key[1]
-
-    def __ge__(self, other):
-        key = self._cmp_key(other)
-        if key is None:
-            return NotImplemented
-        return key[0] >= key[1]
-
-    def __hash__(self):
-        return hash(self.as_fraction())
-
-    def __bool__(self):
-        return self.num != 0
-
-    # -- display ---------------------------------------------------------
-
-    def decimal(self) -> str:
-        """Exact finite decimal expansion (dyadics always have one)."""
-        if self.exp == 0:
-            return str(self.num)
-        digits = str(abs(self.num) * 5**self.exp).rjust(self.exp + 1, "0")
-        sign = "-" if self.num < 0 else ""
-        return f"{sign}{digits[:-self.exp]}.{digits[-self.exp:]}"
-
-    def __repr__(self):
-        return f"Dyadic({self.num}, {self.exp})"
-
-    def __str__(self):
-        return self.decimal()

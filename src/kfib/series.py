@@ -160,6 +160,8 @@ class _TailSeries:
         return self._e0 - self._shift * (j - 1)
 
     def _coeff(self, el: int) -> int:
+        bits = self._shift * (el + 1) * (el + 2) // 2  # term el holds about (k+1)*el bits
+        errors.check_bits(bits, f"the term cache up to index {el}")
         terms = self._terms
         while len(terms) <= el:
             terms.append(next(self._source))
@@ -167,15 +169,14 @@ class _TailSeries:
 
     def term(self, el: int) -> Fraction:
         """Term ``el`` as an exact Fraction."""
+        errors.check_int(el, "term index", 0)
         return _fraction(self._coeff(el), self._exp(el + 1))
 
     def tail_bound(self, terms_used: int) -> Fraction:
         # as g - 1 >= anchor, |sum over el >= g| <= |t[g-1]| theta / (1 - theta);
         # the terms from terms_used up to g are bridged by absolute value
         g = max(terms_used, self._end)
-        # term el holds about (k+1)*el bits
-        errors.check_bits(self._shift * g * (g + 1) // 2, f"the term cache up to index {g - 1}")
-        last = abs(self._coeff(g - 1))  # builds every term up to g - 1
+        last = abs(self._coeff(g - 1))  # refuses past MAX_BITS, else builds every term up to g - 1
         bridge = 0
         if terms_used < self._end:
             # every request below the end bridges to it (g is the end): move the start

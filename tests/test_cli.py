@@ -1231,6 +1231,20 @@ def test_tol_reads_what_fraction_reads():
             cli._tol(text)
 
 
+def test_tol_is_echoed_without_its_surrounding_whitespace(capsys):
+    # _tol reads " 1e-5\n" as 1e-5, so the record echoes it as that
+    argv = ("series", "--which", "thm1", "--k", "2", "--n", "1", "--tol")
+    code, plain, _ = run_capture(capsys, "--format", "csv", *argv, "1e-5")
+    assert code == 0
+    for tol in ("1e-5\n", " 1e-5\n", "\t1e-5 "):
+        code, out, err = run_capture(capsys, "--format", "csv", *argv, tol)
+        lines = out.splitlines()
+        assert code == 0 and err == "" and out == plain, repr(tol)
+        assert len(lines) == 2 and "tol=1e-5;terms=64" in lines[1]
+        code, out, _ = run_capture(capsys, *argv, tol)
+        assert code == 0 and " tol=1e-5 terms=64 " in out and out.count("\n") == 1
+
+
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="CPython < 3.11 has no int-to-str digit limit")
 def test_integers_past_the_digit_limit_print_in_full(capsys):

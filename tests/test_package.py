@@ -105,6 +105,21 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def test_no_module_but_its_own_reaches_dyadic():
+    # nothing builds a Dyadic: no other module imports kfib.dyadic or names the
+    # class, by an import, an attribute or a name string (``_EXPORTS``, ``cli._load``)
+    names = {"dyadic", "Dyadic", ".dyadic", "kfib.dyadic"}
+    fields = {ast.ImportFrom: "module", ast.alias: "name", ast.Name: "id",
+              ast.Attribute: "attr", ast.Constant: "value"}
+    sources = [path for path in sorted(Path(kfib.__file__).parent.glob("*.py"))
+               if path.name != "dyadic.py"]
+    assert len(sources) > 5
+    found = [f"{path.name}:{node.lineno}" for path in sources
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if getattr(node, fields.get(type(node), ""), None) in names]
+    assert found == []
+
+
 def test_no_float_calls_in_the_package():
     # no floating point enters a value: every rounding and comparison is exact
     sources = sorted(Path(kfib.__file__).parent.glob("*.py"))

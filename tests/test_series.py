@@ -271,6 +271,18 @@ def test_tail_cap_refused_before_bridging():
         assert series._terms == [], terms
 
 
+def test_term_refuses_a_negative_index_and_a_cache_past_the_cap():
+    # a negative index would read the cache from its end: binom(21, 7) * 2**3,
+    # no term of the series; a large one would build the cache unchecked
+    cached = hermite_series(2, 0)
+    cached.partial(8)
+    fresh = hermite_series(2, 0)
+    for series, el in ((cached, -1), (fresh, 10**6)):
+        with pytest.raises(DomainError):
+            series.term(el)
+    assert len(cached._terms) == 8 and fresh._terms == []
+
+
 # -- the integer sums against a Fraction oracle built from binom -----------
 
 
