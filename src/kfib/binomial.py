@@ -19,8 +19,6 @@ el = k the ratio's two ``perm`` products share k - el factors, so step el
 multiplies min(el, k) + 1 factors and divides by min(el, k).
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterator
 from math import comb, perm
 

@@ -15,8 +15,6 @@ mantissa.  Rounding only ever widens the ball, so it still encloses the
 true value.  Values that are never rounded stay exact.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from fractions import Fraction
 

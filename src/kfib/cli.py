@@ -29,8 +29,6 @@ for a writer that SIGPIPE ends) when the reader closes stdout before the
 output ends, as ``| head`` does.
 """
 
-from __future__ import annotations
-
 import os
 import sys
 import time
@@ -133,7 +131,7 @@ def _emit_records(records: list[OutputRecord], fmt: str, quiet: bool) -> None:
             print(r.value if quiet else f"{r.command}[{r.method}] {params} -> {r.value} {tail}")
 
 
-def _emit_reports(reports: list[VerifyReport], fmt: str, quiet: bool) -> None:
+def _emit_reports(reports: "list[VerifyReport]", fmt: str, quiet: bool) -> None:
     if fmt == "json":
         print(_json([{"suite": rep.suite,
                       "cells": [{"check": c.check, "k": str(c.k), "n": str(c.n), "pass": c.ok,
@@ -261,9 +259,17 @@ def _parse(argv: list[str]) -> tuple[str | None, dict | None]:
 
 def _run_fib(opts: dict) -> tuple[list[OutputRecord], int]:
     k, n, method = opts["k"], opts["n"], opts["method"]
-    # all: each independent route once; the closed forms are one sum, which needs n >= k
-    routes = ("recurrence", "recurrence-k1", "binomial")[:3 if n >= k else 2]
-    methods = [method] if method != "all" else routes
+    methods = [method]
+    if method == "all":
+        from .core import _powers
+
+        # each independent route once: below the powering cut both recurrences
+        # come from one order-k stepping, and the closed forms need n >= k
+        methods = ["recurrence"]
+        if _powers(k, n):
+            methods.append("recurrence-k1")
+        if n >= k:
+            methods.append("binomial")
     params = {"k": str(k), "n": str(n)}
     records = [OutputRecord("fib", params, str(_load(FIB_ENGINES[m])(k, n)), True, None, m)
                for m in methods]

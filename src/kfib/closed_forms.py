@@ -27,8 +27,6 @@ form checks k and then n >= k (n >= 2 for the shifted sum) in
 ``_check_index``; ``kfib_ordinary`` then refuses n = 2k-1.
 """
 
-from __future__ import annotations
-
 from . import errors
 from .binomial import binom, binom_row
 from .errors import DomainError, IntegralityError
@@ -140,7 +138,7 @@ def _erroneous_sum(k: int, n: int) -> tuple[int, int]:
     return total, e
 
 
-def kfib_ordinary_erroneous(k: int, n: int) -> Fraction:
+def kfib_ordinary_erroneous(k: int, n: int) -> "Fraction":
     """The ordinary-binomial sum with its range misextended to floor((n-1)/(k+1)).
 
     Reproduces a known-wrong published variant of the formula.  The result

@@ -23,8 +23,6 @@ the same stepping.  A brute-force composition counter provides an oracle
 that shares nothing with either recurrence.
 """
 
-from __future__ import annotations
-
 import sys
 from collections import deque
 from collections.abc import Iterator

@@ -19,8 +19,6 @@ guard, enough for a power of rho_k to keep the 2**-bits target; a result
 that still misses its target raises CertificationError.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from . import errors

@@ -1,7 +1,5 @@
 """Exact dyadic rationals: integers scaled by a power of two."""
 
-from __future__ import annotations
-
 from .errors import IntegralityError
 
 

@@ -21,14 +21,12 @@ quotient is binom(T+1, el+1) - (k+1)*binom(T, el), the coefficient of
 z**(el+1) in the generalized binomial series B_{k+1}(z)**(-n) (Graham,
 Knuth and Patashnik, Concrete Mathematics, eq. 5.60), and each division is
 checked all the same.  A run of terms, signed or by absolute value, sums by
-Horner's rule, N = (N << (k+1)) + a, in blocks of fixed length, into one
-integer over a power of two; two sums merge with one shift.  A series keeps
-its prefix sum across ``partial`` calls, so a longer request merges in the
-sum of just the new terms; requests below the tail bridge's end share one
-bridge.  The one Fraction of a sum is made when ``partial`` returns it.
+Horner's rule, N = (N << (k+1)) + a, into one integer over a power of two;
+two sums merge with one shift.  A series keeps its prefix sum across
+``partial`` calls, so a longer request merges in the sum of just the new
+terms; requests below the tail bridge's end share one bridge.  The one
+Fraction of a sum is made when ``partial`` returns it.
 """
-
-from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Callable, Iterator
@@ -43,9 +41,6 @@ from .errors import DomainError, IntegralityError
 #: as each later ratio is <= theta, bridging further never loosens the bound,
 #: and three keep the tail bounds and term counts the CLI's outputs pin
 _EXTRA_BRIDGE = 3
-
-#: terms summed by Horner's rule between two shifts of the long running sum
-_BLOCK = 64
 
 #: the term count ``adaptive_partial`` starts doubling from
 _START_TERMS = 4
@@ -79,13 +74,10 @@ class SeriesPartialSum(namedtuple("SeriesPartialSum", "terms_used value tail_bou
 
 
 def _horner(terms: list[int], shift: int) -> int:
-    """The sum of terms[el] << shift*(len(terms)-1-el), by Horner's rule in blocks."""
+    """The sum of terms[el] << shift*(len(terms)-1-el), by Horner's rule."""
     total = 0
-    for b in range(0, len(terms), _BLOCK):
-        block, run = terms[b:b + _BLOCK], 0
-        for a in block:
-            run = (run << shift) + a
-        total = (total << shift * len(block)) + run
+    for a in terms:
+        total = (total << shift) + a
     return total
 
 

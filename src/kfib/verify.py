@@ -29,8 +29,6 @@ compares the misranged sum's exact (N, e) pair with the table by a shift,
 and renders each sum's decimal from that pair.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from itertools import repeat, starmap
 from operator import countOf, eq, mul

@@ -37,22 +37,31 @@ def test_fib_single_method(capsys):
     assert "-> 44 (exact)" in out
 
 
-#: the independent routes of ``fib --method all``: the three closed forms
-#: other than the misranged one are one sum, so it runs as ``binomial`` only
-ALL_ROUTES = ("recurrence", "recurrence-k1", "binomial")
+def all_routes(k: int, n: int) -> list[str]:
+    """The independent routes of ``fib --method all`` at (k, n).  Below the
+    powering cut (n >= 256 and 256n >= k**5) both recurrences are one
+    stepping, so ``recurrence-k1`` runs only where it powers; the three
+    closed forms other than the misranged one are one sum, which needs
+    n >= k, so they run as ``binomial`` only."""
+    routes = ["recurrence"]
+    if n >= 256 and 256 * n >= k**5:
+        routes.append("recurrence-k1")
+    if n >= k:
+        routes.append("binomial")
+    return routes
 
 
 def test_fib_all_methods(capsys):
     code, out, _ = run_capture(capsys, "fib", "--k", "3", "--n", "9", "--method", "all")
     assert code == 0
-    assert out.splitlines() == [f"fib[{m}] k=3 n=9 -> 44 (exact)" for m in ALL_ROUTES]
+    assert out.splitlines() == [f"fib[{m}] k=3 n=9 -> 44 (exact)" for m in all_routes(3, 9)]
 
 
 def test_fib_all_skips_excluded_index(capsys):
     # n = 2k-1 is excluded from --method ordinary alone; all runs no ordinary form
     code, out, _ = run_capture(capsys, "fib", "--k", "3", "--n", "5", "--method", "all")
     assert code == 0
-    assert out.splitlines() == [f"fib[{m}] k=3 n=5 -> 4 (exact)" for m in ALL_ROUTES]
+    assert out.splitlines() == [f"fib[{m}] k=3 n=5 -> 4 (exact)" for m in all_routes(3, 5)]
     code, out, err = run_capture(capsys, "fib", "--k", "3", "--n", "5", "--method", "ordinary")
     assert code == 3 and out == "" and "n = 2k-1 = 5 is excluded" in err
 
@@ -65,15 +74,29 @@ def test_fib_all_reports_a_disagreement(capsys, monkeypatch):
     code, out, err = run_capture(capsys, "fib", "--k", "3", "--n", "9", "--method", "all")
     assert code == 4
     assert out.splitlines() == [f"fib[{m}] k=3 n=9 -> {45 if m == 'binomial' else 44} (exact)"
-                                for m in ALL_ROUTES]
-    assert err == "method disagreement: recurrence=44, recurrence-k1=44, binomial=45\n"
+                                for m in all_routes(3, 9)]
+    assert err == "method disagreement: recurrence=44, binomial=45\n"
+
+
+@pytest.mark.parametrize("k, n, records, steppings", [(30, 20000, 2, 1), (4, 300, 3, 0)])
+def test_fib_all_steps_at_most_once(capsys, monkeypatch, k, n, records, steppings):
+    # below the powering cut both recurrences are one stepping, run once;
+    # where both engines power, neither steps
+    calls = []
+    terms = core._order_k_terms
+    monkeypatch.setattr(core, "_order_k_terms", lambda k: calls.append(k) or terms(k))
+    code, out, _ = run_capture(capsys, "--format", "json", "fib", "--k", str(k), "--n", str(n),
+                               "--method", "all")
+    assert code == 0 and len(calls) == steppings
+    methods, values = zip(*((r["method"], r["value"]) for r in json.loads(out)))
+    assert list(methods) == all_routes(k, n) and len(methods) == records
+    assert len(set(values)) == 1
 
 
 def test_fib_all_below_k_uses_recurrences_only(capsys):
     code, out, _ = run_capture(capsys, "fib", "--k", "5", "--n", "3", "--method", "all")
     assert code == 0
-    assert out.count("-> 0 (exact)") == 2
-    assert "[binomial]" not in out
+    assert out.splitlines() == ["fib[recurrence] k=5 n=3 -> 0 (exact)"]
 
 
 def test_domain_error_exit_code(capsys):
@@ -170,7 +193,7 @@ def test_json_records_schema(capsys):
                                "--n", "10", "--method", "all")
     assert code == 0
     records = json.loads(out)
-    assert [r["method"] for r in records] == list(ALL_ROUTES)
+    assert [r["method"] for r in records] == all_routes(2, 10) == ["recurrence", "binomial"]
     for r in records:
         assert r["value"] == "55"
         assert isinstance(r["value"], str)
@@ -563,7 +586,8 @@ def test_failed_certificate_exit_code(capsys, monkeypatch):
 SRC = str(Path(kfib.__file__).resolve().parents[1])
 
 #: standard-library modules the probe watches besides the package's own
-WATCHED = ("argparse", "gettext", "locale", "json", "dataclasses", "fractions", "decimal")
+WATCHED = ("argparse", "gettext", "locale", "json", "dataclasses", "__future__", "fractions",
+           "decimal")
 
 #: prints [exit code, modules after ``import kfib.cli``, modules after the run]
 #: by repr, so that the probe itself imports no watched module
@@ -579,8 +603,9 @@ code = kfib.cli.run(sys.argv[1:])
 print(repr([code, imported, loaded()]))
 """
 
-#: no command loads an argument parser, a JSON encoder or dataclasses
-NEVER = {"argparse", "gettext", "locale", "json", "dataclasses"}
+#: no command loads an argument parser, a JSON encoder, dataclasses or
+#: __future__ (every annotation evaluates natively from Python 3.10)
+NEVER = {"argparse", "gettext", "locale", "json", "dataclasses", "__future__"}
 #: the rational types load only where a value needs one
 RATIONALS = {"fractions", "decimal"}
 #: the root, the balls, the series and their rendering
@@ -942,7 +967,7 @@ def test_huge_orders_and_indices_end_without_a_traceback(argv):
     if proc.returncode == 0:
         assert proc.stderr == ""
         assert [line.split(" -> ")[1] for line in proc.stdout.splitlines()] == [
-            "0 (exact)"] * (2 if "all" in argv else 1)
+            "0 (exact)"]
     else:
         assert proc.stdout == ""
         assert proc.stderr.startswith("domain error:") and proc.stderr.count("\n") == 1
@@ -1152,14 +1177,15 @@ def test_json_writer_matches_json_dumps(x):
 #: 4e-150 (no 60-digit cap), the series suite (strings exactly rounded), and
 #: the identities suite and all suites (no binomial-form, ordinary-form or
 #: ordinary-alt-form cells, and each a's Pascal cells before its reflection
-#: cells), and fib --method all (three routes: the closed forms are one sum)
+#: cells), and fib --method all (the closed forms are one sum, and
+#: recurrence-k1 runs only where it powers)
 GOLDEN_STDOUT = {
     "fib --k 3 --n 9": "b76baf6af34cdba21310e1496213a587d3090039337427575190c8d754e3efba",
-    "--format json fib --k 3 --n 9 --method all": "bbe61f94674f02c67b93c143e7fdad4fa624ea904fcd32d7f9d5958f52e50367",
-    "--format csv fib --k 3 --n 40 --method all": "a246b9e7df1a376c51616178d75839824edc76c19531a41c1a2a26e6aa50964e",
+    "--format json fib --k 3 --n 9 --method all": "504c6ac9f4e162161e4bbf724a52496886e4dbf96d176cafaee88ee200eb3cab",
+    "--format csv fib --k 3 --n 40 --method all": "61cafa7894c049aea2bfd8184b77bd1f5bc5c68cca20b16466e197e26aac72c5",
     "--quiet fib --k 2 --n 100": "e6918f3499d94558fbf906814e4bcb3ea1368494fae732edeb54745ac17e40b4",
     "--format json fib --k 8 --n 2000 --method binomial": "8234eff86a89054ea46f34cafd6900c0cb90dbc047ea17583f8dbe0247d96961",
-    "fib --k 5 --n 3 --method all": "896613fab67fb71c287a03f47e9ccdae8733b0064a995adf029c2593417f26e8",
+    "fib --k 5 --n 3 --method all": "4e8ce4388f160bcdc3d0a7817bf29f82a7cdb73a3881453491393294848526d2",
     "--format csv fib --k 3 --n 5000 --method ordinary-alt": "a646359d5012e80c74a21f5c6c79935dbd4e2380a68bfb21c30d5a169b194001",
     "--format json fib --k 3 --n 20000 --method recurrence-k1": "b2f3fe990f6600fe52f9880ae95ee9e807db1def4f035daf55d17101dc1e20f5",
     "--timing --format=json fib --k=3 --n=9 --method=ordinary": "204d7337ebca776c940bd8110f9adc2c79793991c1903c4be9343a3256903cd2",
