@@ -14,9 +14,12 @@ end, both ends inside the window.  No iteration count or contraction
 estimate enters the bound.
 
 The dominant-term values evaluate in ball arithmetic (CertifiedReal) with
-every operation rounded to one working precision, bits + |index| + 3k +
-guard, enough for a power of rho_k to keep the 2**-bits target; a result
-that still misses its target raises CertificationError.
+every operation rounded to one working precision, prec = bits + |index| +
+3k + guard, enough for a power of rho_k to keep the 2**-bits target; a
+result that still misses it raises CertificationError.  They take rho_k on
+their own grid, 2**-(prec + k + 64), whose k term is needed: the digits of
+rho_k = 2 - eps, eps near 2**-k, come in runs about k long, and with a fixed
+guard alone its rounding to prec can cross one to another, sometimes looser ball.
 """
 
 from fractions import Fraction
@@ -26,9 +29,6 @@ from .certified import CertifiedReal
 from .errors import CertificationError
 
 MIN_BITS = 8
-
-#: extra binary digits of the root's grid relative to the requested bits
-_GRID_FACTOR = 4
 
 #: guard bits of the working precision of the dominant-term values
 _GUARD = 32
@@ -82,29 +82,29 @@ def _root_numerator(k: int, grid: int) -> int:
     return x
 
 
-def _grid(k: int, bits: int) -> int:
-    # the k term keeps the grid far below the scale 2**-k of the gap itself
-    return _GRID_FACTOR * bits + k + 8
-
-
-def epsilon(k: int, bits: int) -> CertifiedReal:
-    """The gap eps_k = 2 - rho_k with certified error 2**-(4*bits + k + 8)."""
-    errors.check_k(k)
-    grid = _grid(k, errors.check_int(bits, "bits", MIN_BITS))
+def _root(k: int, grid: int) -> CertifiedReal:
+    """rho_k as the ball a / 2**grid with certified error 2**-grid."""
     errors.check_bits((k + 1) * grid, f"rho_{k} on the 2**-{grid} grid")  # p's numbers
-    a = _root_numerator(k, grid)
-    return CertifiedReal(Fraction((2 << grid) - a, 1 << grid), Fraction(1, 1 << grid))
+    return CertifiedReal(Fraction(_root_numerator(k, grid), 1 << grid), Fraction(1, 1 << grid))
 
 
 def rho(k: int, bits: int) -> CertifiedReal:
     """The dominant root rho_k with certified error 2**-(4*bits + k + 8)."""
-    gap = epsilon(k, bits)
-    return CertifiedReal(2 - gap.approx, gap.err)
+    errors.check_k(k)
+    # the k term keeps the grid far below the scale 2**-k of the gap itself
+    return _root(k, 4 * errors.check_int(bits, "bits", MIN_BITS) + k + 8)
+
+
+def epsilon(k: int, bits: int) -> CertifiedReal:
+    """The gap eps_k = 2 - rho_k with certified error 2**-(4*bits + k + 8)."""
+    return 2 - rho(k, bits)
 
 
 def _dominant_term(k: int, idx: int, prec: int) -> CertifiedReal:
     """(rho-1) / ((k+1)*rho - 2k) * rho**(idx-1), every operation rounded to prec."""
-    r = rho(k, prec).rounded(prec)
+    # its largest numbers measure 3.3-3.9 prec bits for k = 2..100
+    errors.check_bits(4 * prec, f"the dominant term on the 2**-{prec} grid")
+    r = _root(k, prec + k + 2 * _GUARD).rounded(prec)
     lead = ((r - 1) * ((k + 1) * r - 2 * k).reciprocal().rounded(prec)).rounded(prec)
     return (lead * r.power(idx - 1, prec)).rounded(prec)
 

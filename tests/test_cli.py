@@ -974,14 +974,16 @@ def test_huge_orders_and_indices_end_without_a_traceback(argv):
 
 
 #: argv whose numbers would pass the 2**33-bit cap, though each fits in an
-#: int: the root's (k+1)*grid bits, the tail anchor's k+1 quotients, the
-#: series' cached terms of about (k+1)*el bits each, a stepping window of
-#: k+1 terms of n bits, the powering polynomial's k+1 coefficients, the
-#: closed form's n-bit sum, and a verify range whose table F[0..m],
-#: m = n_max + k_max, may hold m(m+1)/2 bits
+#: int: the root's (k+1)*grid bits, the dominant term's 4*prec bits, the
+#: tail anchor's k+1 quotients, the series' cached terms of about (k+1)*el
+#: bits each, a stepping window of k+1 terms of n bits, the powering
+#: polynomial's k+1 coefficients, the closed form's n-bit sum, and a verify
+#: range whose table F[0..m], m = n_max + k_max, may hold m(m+1)/2 bits
 CAPPED_ARGVS = (
     "rho --k 100000000",
     "rho --k 1000000000",
+    "asymptotic --k 2 --n 3000000000",
+    "asymptotic --k 3 --n 3000000000 --ratio",
     "series --which thm2 --k 100000000 --a 1 --terms 3",
     "series --which thm2 --k 1000000000 --a 1 --terms 3",
     "series --which thm1 --k 2 --n 1 --terms 100000000000000000000",

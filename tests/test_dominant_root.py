@@ -161,6 +161,19 @@ def test_domain_validation(monkeypatch):
     monkeypatch.setattr(dominant_root, "_root_numerator", start)
     with pytest.raises(Started):
         epsilon(3, 2**29 - 3)
+    # the dominant term at prec = bits + |idx| + 3k + 32 estimates its own
+    # numbers at 4*prec bits, which binds at k = 2 (the root on the grid
+    # prec + k + 64 has 3*grid): asymptotic's prec is n + 102 there.  From
+    # k = 3 on the root's (k+1)*grid binds: at k = 3, 4*(prec + 67) bits,
+    # and asymptotic_ratio's prec is n + 104
+    for call in (lambda: asymptotic(2, 2**31 - 102, 64),
+                 lambda: asymptotic_ratio(3, 2**31 - 171, 64)):
+        with pytest.raises(Started):
+            call()
+    with pytest.raises(DomainError, match=f"the dominant term on the 2\\*\\*-{2**31 + 1} grid"):
+        asymptotic(2, 2**31 - 101, 64)
+    with pytest.raises(DomainError, match=f"rho_3 on the 2\\*\\*-{2**31 + 1} grid"):
+        asymptotic_ratio(3, 2**31 - 170, 64)
     for call in (lambda: epsilon(3, 2**29 - 2), lambda: rho(10**20, 64),
                  lambda: asymptotic(10**20, 5, 64), lambda: asymptotic(3, 2**60, 64),
                  lambda: asymptotic_ratio(10**20, 5, 64),
@@ -178,8 +191,8 @@ def test_rho_and_epsilon_enclose_mpmath_root():
         for bits in SWEEP_BITS:
             ref, ref_err = mpmath_dominant_root(k, bits)
             r, e = rho(k, bits), epsilon(k, bits)
-            assert r.err <= Fraction(1, 2 ** (4 * bits + k + 8)), (k, bits)
-            assert e.err <= Fraction(1, 2 ** (4 * bits + k + 8)), (k, bits)
+            assert r.approx + e.approx == 2, (k, bits)
+            assert r.err == e.err == Fraction(1, 2 ** (4 * bits + k + 8)), (k, bits)
             assert abs(r.approx - ref) <= r.err + ref_err, (k, bits)
             assert abs(e.approx - (2 - ref)) <= e.err + ref_err, (k, bits)
 
@@ -193,6 +206,44 @@ def test_asymptotic_and_ratio_enclose_mpmath():
                 ref, ref_err = mpmath_asymptotic(k, n, bits, ratio)
                 assert v.err <= Fraction(1, 2**bits) * max(1, abs(v.approx)), (k, n, ratio)
                 assert abs(v.approx - ref) <= v.err + ref_err, (k, n, ratio)
+
+
+def test_dominant_term_solves_once_below_twice_its_precision(monkeypatch):
+    grids = []
+    solve = dominant_root._root_numerator
+
+    def recording(k, grid):
+        grids.append(grid)
+        return solve(k, grid)
+
+    monkeypatch.setattr(dominant_root, "_root_numerator", recording)
+    for fn, idx in ((asymptotic, 2000), (asymptotic_ratio, 2000 - 100 + 2)):
+        grids.clear()
+        fn(100, 2000, 64)
+        prec = dominant_root._working_precision(100, 64, idx)
+        assert len(grids) == 1 and grids[0] < 2 * prec, (fn.__name__, prec, grids)
+
+
+def _term_from_rho(k, idx, prec):
+    # the dominant term with the root taken from rho's finer grid, each line
+    # as the module evaluates it
+    r = rho(k, prec).rounded(prec)
+    lead = ((r - 1) * ((k + 1) * r - 2 * k).reciprocal().rounded(prec)).rounded(prec)
+    return (lead * r.power(idx - 1, prec)).rounded(prec)
+
+
+def test_dominant_term_balls_match_rhos_grid():
+    # the root on the grid prec + k + 64 rounds to prec exactly as rho's
+    # grid 4*prec + k + 8 does, so no ball moves and no radius loosens
+    for k in (2, 3, 5, 16, 100):
+        for n in (1, 10, 25, 200):
+            for bits in (8, 64):
+                prec = dominant_root._working_precision(k, bits, n)
+                assert asymptotic(k, n, bits) == _term_from_rho(k, n, prec), (k, n, bits)
+                idx = n - k + 2
+                prec = dominant_root._working_precision(k, bits, idx)
+                ratio = (kfib_order_k(k, n) * _term_from_rho(k, idx, prec).reciprocal()).rounded(prec)
+                assert asymptotic_ratio(k, n, bits) == ratio, (k, n, bits)
 
 
 def test_failed_sign_change_raises(monkeypatch):
