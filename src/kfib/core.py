@@ -145,6 +145,15 @@ def _power_term(taps: list[int], seeds: list[int], n: int) -> int:
                for i, ci in enumerate(c))
 
 
+def _recurrences(k: int) -> dict[str, tuple[list[int], list[int]]]:
+    """The taps and seeds ``_power_term`` takes for each engine, by name:
+    ``order-k`` for x**k - x**(k-1) - ... - 1 from F[0..k-1], and
+    ``order-k1`` for x**(k+1) - 2*x**k + 1 from F[0..k], every seed zero
+    but F[k-1] = 1 and F[k] = 1."""
+    seeds = [0] * (k - 1) + [1]
+    return {"order-k": ([1] * k, seeds), "order-k1": ([-1] + [0] * (k - 1) + [2], seeds + [1])}
+
+
 def _order_k_terms(k: int) -> Iterator[int]:
     """F[0], F[1], ... by the order-(k+1) recurrence, in running-sum form.
 
@@ -172,32 +181,30 @@ def _order_k_terms(k: int) -> Iterator[int]:
 def kfib_order_k(k: int, n: int) -> int:
     """F[n] via the order-k rule F[m+k] = F[m] + ... + F[m+k-1].
 
-    Where ``_powers`` says so, powers x**(n//2) modulo x**k - x**(k-1) -
-    ... - 1 and ends in ``_power_term`` from the seeds F[0..k-1], zero but
-    for F[k-1] = 1; otherwise takes term n of the stepping.
+    Where ``_powers`` says so, ``_power_term`` on the rule's polynomial
+    (``_recurrences``); otherwise term n of the stepping.
     """
     errors.check_k(k)
     _check_n(n)
     _check_size(k, n)
     if _powers(k, n):
-        return _power_term([1] * k, [0] * (k - 1) + [1], n)
+        return _power_term(*_recurrences(k)["order-k"], n)
     return next(islice(_order_k_terms(k), n, None))
 
 
 def kfib_order_k1(k: int, n: int) -> int:
     """F[n] via the order-(k+1) recurrence F[m+k+1] = 2*F[m+k] - F[m].
 
-    Seeded with F[0..k]: all zero except F[k-1] = F[k] = 1 (the value of
-    F[k] follows from one step of the order-k rule).  Where ``_powers``
-    says so, powers x**(n//2) modulo x**(k+1) - 2*x**k + 1 and ends in
-    ``_power_term`` from those seeds; otherwise takes term n of
-    ``_order_k_terms``, which steps this recurrence.
+    Seeded with F[0..k] (F[k] = 1 follows from one step of the order-k
+    rule).  Where ``_powers`` says so, ``_power_term`` on its polynomial
+    (``_recurrences``); otherwise term n of ``_order_k_terms``, which steps
+    this recurrence.
     """
     errors.check_k(k)
     _check_n(n)
     _check_size(k, n)
     if _powers(k, n):
-        return _power_term([-1] + [0] * (k - 1) + [2], [0] * (k - 1) + [1, 1], n)
+        return _power_term(*_recurrences(k)["order-k1"], n)
     return next(islice(_order_k_terms(k), n, None))
 
 

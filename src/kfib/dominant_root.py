@@ -109,6 +109,12 @@ def _dominant_term(k: int, idx: int, prec: int) -> CertifiedReal:
     return (lead * r.power(idx - 1, prec)).rounded(prec)
 
 
+def _matched_index(k: int, n: int) -> int:
+    """The dominant-term index whose term rounds to F[n] for every n >= 0
+    (G. P. B. Dresden and Z. Du, J. Integer Sequences 17, 2014, 14.4.7)."""
+    return n - k + 2
+
+
 def _working_precision(k: int, bits: int, idx: int) -> int:
     # |idx| covers the scale a power of rho moves the value by, either way;
     # the 3k term keeps err tight for large k (without it, err comes out up
@@ -141,16 +147,16 @@ def asymptotic(k: int, n: int, bits: int) -> CertifiedReal:
 def asymptotic_ratio(k: int, n: int, bits: int) -> CertifiedReal:
     """F[n] divided by its matched dominant-term approximation.
 
-    The denominator is the dominant term at index n-k+2, the alignment
-    under which the ratio tends to 1 as n grows.  The bound is at most
-    2**-bits relative to max(1, |ratio|).
+    The denominator is the dominant term at ``_matched_index``, n-k+2, so
+    the ratio tends to 1.  The bound is at most 2**-bits relative to
+    max(1, |ratio|).
     """
     from .core import kfib_order_k  # the one exact term here: rho loads no engine
 
     errors.check_k(k)
     errors.check_int(n, "n", 1)
     errors.check_int(bits, "bits", MIN_BITS)
-    idx = n - k + 2
+    idx = _matched_index(k, n)
     prec = _working_precision(k, bits, idx)
     term = _dominant_term(k, idx, prec)
     # the reciprocal stays exact: on the 2**-prec grid a value as small as

@@ -4,8 +4,8 @@ Each sweep compares independent routes to the same quantity cell by cell
 and collects the outcome in a VerifyReport.  A cell records what was
 expected, what was computed, and whether they matched; the erratum suite
 additionally reports divergences of the deliberately misranged formula as
-informative (passing) cells, since divergence there is the expected
-behavior.
+informative (passing) cells where its range appends a term, since
+divergence there is the expected behavior, and any other as a failing one.
 
 A report keeps its cells as columns (``Cells``), one per independent
 comparison: a check at one k, its n column, and its ok, expected and
@@ -23,10 +23,11 @@ that the four entry points agree.  The ``pascal`` and ``reflection`` cells
 read each binom(a, b) of the window from one table.  Below the powering
 cut both recurrence engines take the one stepping ``kfib_table`` holds
 (see ``core``), so the engines suite compares ``kfib_order_k1`` with the
-table only where it powers; it also checks the table's first 2k+1 terms,
-zero seeds included, and the composition oracle.  The erratum suite
-compares the misranged sum's exact (N, e) pair with the table by a shift,
-and renders each sum's decimal from that pair.
+table only where it powers, and the powering itself, ``_power_term`` on
+both polynomials, at n = 2**j and 2**j + 1; it also checks the table's
+first 2k+1 terms, zero seeds included, and the composition oracle.  The
+erratum suite compares the misranged sum's exact (N, e) pair with the
+table by a shift, and renders each sum's decimal from that pair.
 """
 
 from collections import namedtuple
@@ -36,7 +37,8 @@ from operator import countOf, eq, mul
 from . import errors
 from .binomial import binom
 from .closed_forms import _erroneous_sum, kfib_binomial_shifted
-from .core import _powers, count_compositions, kfib_order_k1, kfib_table
+from .core import (_power_term, _powers, _recurrences, count_compositions, kfib_order_k1,
+                   kfib_table)
 from .errors import DomainError
 
 #: window of the exhaustive binomial-identity sweeps
@@ -109,6 +111,7 @@ def _report(suite: str, cells: Cells) -> VerifyReport:
 
 def verify_engines(k_max: int = 6, n_max: int = 200) -> VerifyReport:
     cells = Cells()
+    powered = [n for j in range(1, n_max.bit_length()) for n in (2**j, 2**j + 1) if n <= n_max]
     for k in range(2, k_max + 1):
         table = kfib_table(k, n_max)
         # below the powering cut both engines take the stepping the table
@@ -116,6 +119,9 @@ def verify_engines(k_max: int = 6, n_max: int = 200) -> VerifyReport:
         ns = [n for n in range(n_max + 1) if _powers(k, n)]
         cells.add("engine-agreement", k, ns, [table[n] for n in ns],
                   [kfib_order_k1(k, n) for n in ns])
+        for name, (taps, seeds) in _recurrences(k).items():
+            cells.add(f"power-{name}", k, powered, [table[n] for n in powered],
+                      [_power_term(taps, seeds, n) for n in powered])
         ns = range(min(2 * k, n_max) + 1)
         initial = [0] * (k - 1) + [1] + [2**j for j in range(k)] + [2**k - 1]
         cells.add("initial-segment", k, ns, initial[:len(ns)], table[:ns.stop])
@@ -188,21 +194,21 @@ def verify_series(k_max: int = 6, n_max: int = 200) -> VerifyReport:
         is its exponent a in -3..3, not an index, so it is not cut."""
         return [n for n in ns if n <= n_max]
 
-    small_k = range(2, min(3, k_max) + 1)
-    for k in small_k:
+    ks = range(2, k_max + 1)
+    for k in ks:
         for n in upto((1, 5, 10)):
             cell("power-sum-base", k, n, 2**n, rho_power_series(k, n).partial(0).value)
-    for k in range(2, min(5, k_max) + 1):
+    for k in ks:
         for n in upto((1,)):
             lhs = adaptive_partial(rho_power_series(k, n).partial, Fraction(1, 10**12))
             sum_vs_ball("power-sum-vs-root", k, n, lhs, rho(k, 128), 15)
-    for k in range(2, min(5, k_max) + 1):
+    for k in ks:
         r = rho(k, 64)
         for a in range(-3, 4):
             lhs = adaptive_partial(hermite_series(k, a).partial, Fraction(1, 10**11))
             rhs = (Fraction(2) ** (a + 1)) * r ** (-a) / ((k + 1) * r - 2 * k)
             sum_vs_ball("ratio-sum-identity", k, a, lhs, rhs, 15)
-    for k in small_k:
+    for k in ks:
         for n in upto((0, 2, 5, 10, 20)):
             tol = Fraction(max(1, 2**n), 10**10)
             lhs = adaptive_partial(asymptotic_series(k, n).partial, tol)
@@ -241,15 +247,17 @@ def verify_erratum(k_max: int = 6, n_max: int = 200) -> VerifyReport:
     found = 0
     for k in range(3, k_max + 1):
         table = kfib_table(k, max(n_max, k))
-        ns, sums = [], []
+        ns, sums, oks = [], [], []
         for n in range(k, n_max + 1):
             pair = _erroneous_sum(k, n)
             if not _equals(pair, table[n]):
                 ns.append(n)
                 sums.append(pair)
+                # expected only where the misranged range appends a term
+                oks.append((n - 1) // (k + 1) > (n - k + 1) // (k + 1))
         cells.add("divergence", k, ns, [table[n] for n in ns], list(starmap(_decimal, sums)),
-                  [True] * len(ns))
-        found += len(ns)
+                  oks)
+        found += countOf(oks, True)
     if k_max >= 5 and n_max >= 7:
         # the canonical witness: at (k, n) = (5, 7) the misranged sum picks
         # up an extra 1/16 while the correct range is empty

@@ -2,6 +2,7 @@ import argparse
 import ast
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -329,8 +330,9 @@ def test_verify_series_stays_in_its_range(capsys):
 
 
 def test_verify_engines_stays_in_its_range(capsys):
-    # initial-segment runs n = 0..2k and composition-oracle n = 1..12, each
-    # cut at --n-max; engine-agreement starts at the powering cut, n = 256
+    # initial-segment runs n = 0..2k, composition-oracle n = 1..12 and the
+    # power-* cells n = 2**j and 2**j + 1, each cut at --n-max;
+    # engine-agreement starts at the powering cut, n = 256
     code, out, _ = run_capture(capsys, "--format", "csv", "verify", "--suite", "engines",
                                "--k-max", "3", "--n-max", "4")
     assert code == 0
@@ -358,8 +360,8 @@ def test_verify_engines_compares_only_where_the_engine_powers():
 
 def test_verify_series_strings_are_exactly_rounded():
     # the partial-sum-vs-ball cells show both sides as render.fixed of the
-    # exact rational: through a float, 11 of these 84 strings were off in
-    # the last place (66012.001073266365 for ...359 below)
+    # exact rational: through a float, 11 of the 84 strings at k <= 5 were
+    # off in the last place (66012.001073266365 for ...359 below)
     from kfib.dominant_root import asymptotic, rho
     from kfib.series import adaptive_partial, asymptotic_series, hermite_series, rho_power_series
 
@@ -367,7 +369,7 @@ def test_verify_series_strings_are_exactly_rounded():
         return render.fixed(x.numerator, x.denominator, places)
 
     want = {}
-    for k in range(2, 6):
+    for k in range(2, 7):
         p = adaptive_partial(rho_power_series(k, 1).partial, Fraction(1, 10**12))
         want["power-sum-vs-root", k, 1] = shown(rho(k, 128).approx, 15), shown(p.value, 15)
         r = rho(k, 64)
@@ -375,14 +377,14 @@ def test_verify_series_strings_are_exactly_rounded():
             p = adaptive_partial(hermite_series(k, a).partial, Fraction(1, 10**11))
             ball = (Fraction(2) ** (a + 1)) * r ** (-a) / ((k + 1) * r - 2 * k)
             want["ratio-sum-identity", k, a] = shown(ball.approx, 15), shown(p.value, 15)
-    for k in (2, 3):
+    for k in range(2, 7):
         for n in (0, 2, 5, 10, 20):
             p = adaptive_partial(asymptotic_series(k, n).partial, Fraction(max(1, 2**n), 10**10))
             want["asymptotic-series", k, n] = (shown(asymptotic(k, n, 50).approx, 12),
                                                shown(p.value, 12))
     got = {(c.check, c.k, c.n): (c.expected, c.actual) for c in verify_series().cells
            if c.check in {"power-sum-vs-root", "ratio-sum-identity", "asymptotic-series"}}
-    assert got == want and len(got) == 42
+    assert got == want and len(got) == 65
     assert got["asymptotic-series", 3, 20][1] == "66012.001073266359"
 
 
@@ -524,6 +526,54 @@ def test_a_karatsuba_fault_fails_verify_and_fib(monkeypatch, capsys):
     assert {(c.check, c.n >= 256) for c in failed} == {("engine-agreement", True)}
     code, _, err = run_capture(capsys, "fib", "--k", "4", "--n", "300", "--method", "all")
     assert code == 4 and err.startswith("method disagreement: ")
+
+
+def _mutant(fn, old: str, new: str):
+    """``fn`` compiled from its source with the one ``old`` in it read as
+    ``new``, in its own module's globals."""
+    source = inspect.getsource(fn)
+    assert source.count(old) == 1, old
+    scope = {}
+    exec(source.replace(old, new), vars(sys.modules[fn.__module__]), scope)
+    return scope[fn.__name__]
+
+
+def test_a_fold_fault_fails_the_default_verify(monkeypatch, capsys):
+    # the default n-max stops below the powering cut, so only the power-*
+    # cells reach _power_mod, and they fail where its fold is wrong
+    monkeypatch.setattr(core, "_power_mod", _mutant(
+        core._power_mod, "+= t * c", "+= t * c + (top == d and i == 0)"))
+    failed = {c.check for c in verify.verify_engines().cells if not c.ok}
+    assert failed == {"power-order-k", "power-order-k1"}
+    assert run_capture(capsys, "--quiet", "verify")[0] == 4
+
+
+def test_a_lead_fault_past_k5_fails_the_default_verify(monkeypatch, capsys):
+    # the series suite runs every k up to --k-max, so a dominant term wrong
+    # only from k = 6 on fails the default run's asymptotic-series cells at k = 6
+    monkeypatch.setattr(dominant_root, "_dominant_term", _mutant(
+        dominant_root._dominant_term, "(k + 1) * r - 2 * k", "(k + 1) * r - 2 * k + (k >= 6)"))
+    failed = [(c.check, c.k) for c in verify_series().cells if not c.ok]
+    assert failed == [("asymptotic-series", 6)] * 5
+    assert run_capture(capsys, "--quiet", "verify")[0] == 4
+
+
+def test_a_closed_form_fault_fails_the_erratum_suite(monkeypatch, capsys):
+    # the misranged sum may differ from F[n] only where its range appends a
+    # term; at (k, n) = (3, 62) it appends none, so a fault in the sum the
+    # two ranges share there, at m0 = n - k + 1 = 60, fails its cell
+    reflected = closed_forms._reflected_sum
+
+    def faulty(k, m0, e0):
+        total, e = reflected(k, m0, e0)
+        return total + ((k, m0) == (3, 60)), e
+
+    monkeypatch.setattr(closed_forms, "_reflected_sum", faulty)
+    code, out, _ = run_capture(capsys, "verify", "--suite", "erratum")
+    assert code == 4
+    assert [line.split(":")[0] for line in out.splitlines() if "k=3 n=62" in line] == [
+        "  FAIL divergence k=3 n=62"]
+    assert "TOTAL failures: 1" in out
 
 
 def test_verify_erratum_counts_divergences():
@@ -1179,8 +1229,9 @@ def test_json_writer_matches_json_dumps(x):
 #: 4e-150 (no 60-digit cap), the series suite (strings exactly rounded), and
 #: the identities suite and all suites (no binomial-form, ordinary-form or
 #: ordinary-alt-form cells, and each a's Pascal cells before its reflection
-#: cells), and fib --method all (the closed forms are one sum, and
-#: recurrence-k1 runs only where it powers)
+#: cells), fib --method all (the closed forms are one sum, and
+#: recurrence-k1 runs only where it powers), and the engines suite and all
+#: suites (the power-order-k and power-order-k1 cells)
 GOLDEN_STDOUT = {
     "fib --k 3 --n 9": "b76baf6af34cdba21310e1496213a587d3090039337427575190c8d754e3efba",
     "--format json fib --k 3 --n 9 --method all": "504c6ac9f4e162161e4bbf724a52496886e4dbf96d176cafaee88ee200eb3cab",
@@ -1207,23 +1258,23 @@ GOLDEN_STDOUT = {
     "--quiet asymptotic --k 3 --n 200 --ratio": "59458f5358f8d31996e74de30ff43d1e589c7dcbc182372d1944194c382a3108",
     "verify --suite erratum --k-max 5 --n-max 30": "611ef12c25c6bd228e5bc381886656e89ae7f0ce3a5d682d4c1abddcef0e9613",
     "--format json verify --suite erratum --k-max 5 --n-max 30": "88d95903929247ca87dd505229044ac8d452d033b69ac42f25774b040d491325",
-    "--format csv verify --suite engines --k-max 4 --n-max 40": "d029f22125721c4cb7e417ba98c8bbfbc864517fec64ead6426d15a38c1c9c06",
+    "--format csv verify --suite engines --k-max 4 --n-max 40": "ddd33a0c931b77a463ed348a653af6f0f325eea194ab988a251fc2a7268a79c8",
     "--quiet verify --suite erratum --k-max 6 --n-max 40": "9e80c134fe29f0ab85e637915c415a18b2cf6286d434c863fe280d40c314e72c",
     "--format json verify --suite identities --k-max 3 --n-max 30": "af8dc420edc4ce9ee1c747665619bd90f14f09facc48a827dcba84b50df89f63",
     "--format csv verify --suite identities --k-max 3 --n-max 30": "091314260134f573f55779b231d46ad506ded56e87f62d499122ac6ff780dcb5",
     "--format csv verify --suite identities --k-max 6 --n-max 60": "46b3016cd4c4e24c5cbd329665359e5ae814dfa44420f9c3ab3d6c889a569d22",
     "--format json verify --suite series --k-max 3 --n-max 10": "511a0175c81ed0ee983b3e5ce1776d33d0c211913c37b0f9bfd39b891b85b0f1",
-    "verify --k-max 3 --n-max 20": "ad816cb314a65d3aa8b8af643a47b783b1ca60df164d82c3776051699e1d4c0a",
-    "verify --suite engines": "d6b4078e69b6d093f0b3118737b7e3cbe8803368f240fc9cfd31e8444dff211d",
+    "verify --k-max 3 --n-max 20": "f0cb2c3cb9490fff40031525782a1493a7cbd970c2a95f3197d99cd4982b2402",
+    "verify --suite engines": "fd46354fe953675b35514e455a604057d0bc4a3e793690dca82f8c344c314bc5",
     "verify --suite identities": "fac1574d4278242e3a6998557f015fa12b93bcdc6c8bb5d1ea80e11f538fc346",
     "verify --suite erratum": "8341b833c2cd19ee23346aea783d38f9ba3b00af241d9e649598e846179c569e",
     "--format csv verify --suite identities": "bcba560d8e5759094a869964b1b5800a06ba572839a06e025bad6ff9d45334f7",
     "--format json verify --suite identities": "52e2b81ea521847030c826c7442e5e08bdac9c8d892fb171d0462183a2fafda7",
     "--format csv verify --suite erratum": "a058301f3d3ee3cb5b571a04adfee159a53743e6b75ea9e85cd9e32e6fd64d22",
     "--format json verify --suite erratum": "ca44096dfae46a080660edd84707722d9b56148344f58ee05705fbdc87c58e6d",
-    "--format csv verify --suite engines": "a2af651ba67862ffbb1288de0fd979ce8bc7b59c48c86f7ab53a5cded35f6b80",
-    "--format json verify --suite engines": "cfff0560e7d0865d279c7a10b1eafc89a777a28f277cea821ef50ca8726b7d99",
-    "--format csv verify --suite engines --n-max 300": "3eeb146b2651f3c216824ea9430fa35d135503cd939e7948f9f61e6624b74aaa",
+    "--format csv verify --suite engines": "9fe5f1b923db21096c2daf65e1f7a519a520cee7bd3f4b8919575ee0f4ac6197",
+    "--format json verify --suite engines": "8f4ed5126220c198b2adce9646c9ab930e7da02a6d3a63d73e0bd60bb32d7218",
+    "--format csv verify --suite engines --n-max 300": "58074b28789d7fb37418e7ea50fa89a5a0e7420fafb644e74ab38a5cdcd5e402",
 }
 
 

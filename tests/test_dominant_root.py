@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from kfib import dominant_root
-from kfib.core import kfib_order_k
+from kfib.core import kfib_order_k, kfib_table
 from kfib.dominant_root import (
     asymptotic,
     asymptotic_ratio,
@@ -222,6 +222,19 @@ def test_dominant_term_solves_once_below_twice_its_precision(monkeypatch):
         fn(100, 2000, 64)
         prec = dominant_root._working_precision(100, 64, idx)
         assert len(grids) == 1 and grids[0] < 2 * prec, (fn.__name__, prec, grids)
+
+
+def test_dominant_term_rounds_to_fib():
+    # Dresden and Du: |F[n] - D(n-k+2)| < 1/2 for every n >= 0.  The whole
+    # ball lies within 1/2 of F[n], with little slack: the worst distance is
+    # 0.447 at k = 2 and 0.493 at k = 8, both at n <= 120
+    for k in range(2, 9):
+        table = kfib_table(k, 120)
+        for n, f in enumerate(table):
+            idx = dominant_root._matched_index(k, n)
+            prec = dominant_root._working_precision(k, 16, idx)
+            term = dominant_root._dominant_term(k, idx, prec)
+            assert abs(term.approx - f) + term.err < Fraction(1, 2), (k, n)
 
 
 def _term_from_rho(k, idx, prec):
