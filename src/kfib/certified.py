@@ -1,9 +1,9 @@
 """Midpoint-radius balls: approximations that carry exact error bounds.
 
 A CertifiedReal is a pair (approx, err) of exact rationals guaranteeing
-|approx - true| <= err.  Arithmetic on the pair is exact and propagates
-the bound conservatively, so any comparison derived from certified values
-stays rigorous.
+|approx - true| <= err.  Negation, addition, multiplication and reciprocal
+propagate the bound exactly and conservatively, and subtraction and division
+compose them.  An operand other than a ball, an int or a Fraction raises TypeError.
 
 Exact arithmetic lets denominators grow without limit: a power r**m of a
 ball with a b-bit denominator carries m*b bits.  ``rounded(prec)`` keeps
@@ -29,6 +29,11 @@ def _frac(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+
+
+def _ball(x) -> "CertifiedReal":
+    """x itself if it is a ball, else the exact ball of x (TypeError unless exact)."""
+    return x if isinstance(x, CertifiedReal) else CertifiedReal(x, 0)
 
 
 def _round_up(r: Fraction) -> Fraction:
@@ -87,42 +92,25 @@ class CertifiedReal(namedtuple("CertifiedReal", "approx err")):
 
     # -- arithmetic ----------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, CertifiedReal):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return CertifiedReal.exact(other)
-        return None
-
     def __neg__(self):
         return CertifiedReal(-self.approx, self.err)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        other = _ball(other)
         return CertifiedReal(self.approx + other.approx, self.err + other.err)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return CertifiedReal(self.approx - other.approx, self.err + other.err)
+        return self + -_ball(other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        err = (
-            abs(self.approx) * other.err
-            + abs(other.approx) * self.err
-            + self.err * other.err
-        )
+        other = _ball(other)
+        err = (abs(self.approx) * other.err + abs(other.approx) * self.err
+               + self.err * other.err)
         return CertifiedReal(self.approx * other.approx, err)
 
     __rmul__ = __mul__
@@ -135,16 +123,10 @@ class CertifiedReal(namedtuple("CertifiedReal", "approx err")):
         return CertifiedReal(1 / self.approx, self.err / (abs(self.approx) * margin))
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.reciprocal()
+        return self * _ball(other).reciprocal()
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.reciprocal()
+        return _ball(other) * self.reciprocal()
 
     def power(self, m: int, prec: int | None = None) -> "CertifiedReal":
         """self**m by binary powering, every product rounded to ``prec``.

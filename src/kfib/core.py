@@ -178,18 +178,22 @@ def _order_k_terms(k: int) -> Iterator[int]:
             total -= window.popleft()
 
 
+def _engine(k: int, n: int, name: str) -> int:
+    """F[n] by the engine ``name``, checked, then powered or stepped as ``_powers`` says."""
+    errors.check_k(k)
+    _check_size(k, _check_n(n))
+    if _powers(k, n):
+        return _power_term(*_recurrences(k)[name], n)
+    return next(islice(_order_k_terms(k), n, None))
+
+
 def kfib_order_k(k: int, n: int) -> int:
     """F[n] via the order-k rule F[m+k] = F[m] + ... + F[m+k-1].
 
     Where ``_powers`` says so, ``_power_term`` on the rule's polynomial
     (``_recurrences``); otherwise term n of the stepping.
     """
-    errors.check_k(k)
-    _check_n(n)
-    _check_size(k, n)
-    if _powers(k, n):
-        return _power_term(*_recurrences(k)["order-k"], n)
-    return next(islice(_order_k_terms(k), n, None))
+    return _engine(k, n, "order-k")
 
 
 def kfib_order_k1(k: int, n: int) -> int:
@@ -200,12 +204,7 @@ def kfib_order_k1(k: int, n: int) -> int:
     (``_recurrences``); otherwise term n of ``_order_k_terms``, which steps
     this recurrence.
     """
-    errors.check_k(k)
-    _check_n(n)
-    _check_size(k, n)
-    if _powers(k, n):
-        return _power_term(*_recurrences(k)["order-k1"], n)
-    return next(islice(_order_k_terms(k), n, None))
+    return _engine(k, n, "order-k1")
 
 
 def kfib_table(k: int, n_max: int) -> tuple[int, ...]:

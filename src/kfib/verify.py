@@ -27,7 +27,10 @@ table only where it powers, and the powering itself, ``_power_term`` on
 both polynomials, at n = 2**j and 2**j + 1; it also checks the table's
 first 2k+1 terms, zero seeds included, and the composition oracle.  The
 erratum suite compares the misranged sum's exact (N, e) pair with the
-table by a shift, and renders each sum's decimal from that pair.
+table by a shift, and renders each sum's decimal from that pair.  The
+series suite's ``dominant-rounding`` cells check that F[n] is the nearest
+integer to the dominant term at ``dominant_root._matched_index(k, n)``:
+the term's whole ball lies within 1/2 of the table's F[n].
 """
 
 from collections import namedtuple
@@ -171,7 +174,8 @@ def verify_series(k_max: int = 6, n_max: int = 200) -> VerifyReport:
     # needs them (the erratum suite loads the renderer where it prints)
     from fractions import Fraction
 
-    from .dominant_root import asymptotic, rho
+    from .dominant_root import (_dominant_term, _matched_index, _working_precision, asymptotic,
+                                rho)
     from .render import fixed
     from .series import adaptive_partial, asymptotic_series, hermite_series, rho_power_series
 
@@ -217,6 +221,16 @@ def verify_series(k_max: int = 6, n_max: int = 200) -> VerifyReport:
             cut = (n - 1) // (k + 1) + 1
             cell("truncation-integer", k, n, kfib_binomial_shifted(k, n),
                  asymptotic_series(k, n).partial(cut).value)
+    for k in ks:
+        # the dominant term at the matched index rounds to F[n]: its whole
+        # ball lies within 1/2 of F[n], shown as its midpoint's nearest integer
+        table = kfib_table(k, n_max)
+        ns = upto(sorted({0, 1, 2, 3, 5, 10, 20, 50, 100, 200, k - 1, k, k + 1}))
+        balls = [_dominant_term(k, idx, _working_precision(k, 16, idx))
+                 for idx in map(_matched_index, repeat(k), ns)]
+        cells.add("dominant-rounding", k, ns, [table[n] for n in ns],
+                  [round(b.approx) for b in balls],
+                  [abs(b.approx - table[n]) + b.err < Fraction(1, 2) for b, n in zip(balls, ns)])
     return _report("series", cells)
 
 

@@ -38,12 +38,24 @@ def test_reciprocal_rejects_zero_straddle():
         CertifiedReal(Fraction(1, 10), Fraction(1, 5)).reciprocal()
 
 
-def test_agrees_with():
-    a = CertifiedReal(Fraction(1), Fraction(1, 10))
-    b = CertifiedReal(Fraction(11, 10), Fraction(1, 100))
-    c = CertifiedReal(Fraction(2), Fraction(1, 100))
-    assert abs(a.approx - b.approx) <= a.err + b.err
-    assert not abs(a.approx - c.approx) <= a.err + c.err
+@pytest.mark.parametrize("op", [
+    lambda ball: ball + 1.5, lambda ball: 2.0 / ball, lambda ball: ball - 0.5,
+    lambda ball: ball * "x", lambda ball: (1, 2) + ball, lambda ball: ball + (1, 2)],
+    ids=["ball+1.5", "2.0/ball", "ball-0.5", "ball*'x'", "(1,2)+ball", "ball+(1,2)"])
+def test_an_inexact_operand_raises(op):
+    # an operand is a ball, an int or a Fraction: a tuple is neither, so it
+    # no longer concatenates onto the ball's two fields
+    with pytest.raises(TypeError):
+        op(CertifiedReal(Fraction(1, 3), Fraction(1, 10)))
+
+
+def test_exact_operands_on_either_side_give_balls():
+    a = CertifiedReal(Fraction(1, 3), Fraction(1, 10))
+    b = CertifiedReal(Fraction(2), Fraction(1, 100))
+    results = {"sum": sum([a, b]), "Fraction*": Fraction(2) * a, "2-": 2 - a, "1/": 1 / a}
+    assert all(type(r) is CertifiedReal for r in results.values())
+    assert results["sum"] == (Fraction(7, 3), Fraction(11, 100))
+    assert results["2-"] == (Fraction(5, 3), Fraction(1, 10))
 
 
 @given(certified_pairs(), certified_pairs())

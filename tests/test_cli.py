@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import count
 from operator import eq
@@ -313,7 +314,7 @@ def test_verify_series_suite_direct():
     assert report.failures == 0
     checks = {c.check for c in report.cells}
     assert {"power-sum-base", "power-sum-vs-root", "ratio-sum-identity",
-            "asymptotic-series", "truncation-integer"} <= checks
+            "asymptotic-series", "truncation-integer", "dominant-rounding"} <= checks
 
 
 def test_verify_series_stays_in_its_range(capsys):
@@ -326,7 +327,8 @@ def test_verify_series_stays_in_its_range(capsys):
     assert rows and all(k == "2" for _, _, k, *_ in rows)
     indexed = {(check, int(n)) for _, check, _, n, *_ in rows if check != "ratio-sum-identity"}
     assert indexed == {("power-sum-base", 1), ("power-sum-vs-root", 1),
-                       ("asymptotic-series", 0)}
+                       ("asymptotic-series", 0), ("dominant-rounding", 0),
+                       ("dominant-rounding", 1)}
 
 
 def test_verify_engines_stays_in_its_range(capsys):
@@ -550,12 +552,33 @@ def test_a_fold_fault_fails_the_default_verify(monkeypatch, capsys):
 
 def test_a_lead_fault_past_k5_fails_the_default_verify(monkeypatch, capsys):
     # the series suite runs every k up to --k-max, so a dominant term wrong
-    # only from k = 6 on fails the default run's asymptotic-series cells at k = 6
+    # only from k = 6 on fails the default run's asymptotic-series and
+    # dominant-rounding cells at k = 6
     monkeypatch.setattr(dominant_root, "_dominant_term", _mutant(
         dominant_root._dominant_term, "(k + 1) * r - 2 * k", "(k + 1) * r - 2 * k + (k >= 6)"))
     failed = [(c.check, c.k) for c in verify_series().cells if not c.ok]
-    assert failed == [("asymptotic-series", 6)] * 5
+    assert failed == [("asymptotic-series", 6)] * 5 + [("dominant-rounding", 6)] * 7
     assert run_capture(capsys, "--quiet", "verify")[0] == 4
+
+
+@pytest.mark.parametrize("name, old, new, failed", [
+    # an index one too low makes the term approximate F[n-1]: only
+    # dominant-rounding compares it with F[n], and fails where the two differ
+    ("_matched_index", "n - k + 2", "n - k + 1", {"dominant-rounding": 37}),
+    ("_dominant_term", "(k + 1) * r - 2 * k", "(k + 1) * r - (2 * k - 1)",
+     {"dominant-rounding": 37, "asymptotic-series": 25})], ids=["alignment", "lead"])
+def test_a_dominant_term_fault_fails_the_default_verify(monkeypatch, capsys, name, old, new,
+                                                        failed):
+    monkeypatch.setattr(dominant_root, name, _mutant(getattr(dominant_root, name), old, new))
+    assert Counter(c.check for c in verify_series().cells if not c.ok) == failed
+    assert run_capture(capsys, "--quiet", "verify")[0] == 4
+
+
+def test_the_dominant_term_rounds_to_each_term_it_is_matched_with():
+    # the whole ball lies within 1/2 of F[n], so its nearest integer is F[n]
+    cells = [c for c in verify_series(6, 200).cells if c.check == "dominant-rounding"]
+    assert len(cells) == 56 and all(c.ok and c.actual == c.expected for c in cells)
+    assert {c.n for c in cells if c.k == 6} == {0, 1, 2, 3, 5, 6, 7, 10, 20, 50, 100, 200}
 
 
 def test_a_closed_form_fault_fails_the_erratum_suite(monkeypatch, capsys):
@@ -1231,7 +1254,8 @@ def test_json_writer_matches_json_dumps(x):
 #: ordinary-alt-form cells, and each a's Pascal cells before its reflection
 #: cells), fib --method all (the closed forms are one sum, and
 #: recurrence-k1 runs only where it powers), and the engines suite and all
-#: suites (the power-order-k and power-order-k1 cells)
+#: suites (the power-order-k and power-order-k1 cells), and the series suite
+#: and all suites (the dominant-rounding cells)
 GOLDEN_STDOUT = {
     "fib --k 3 --n 9": "b76baf6af34cdba21310e1496213a587d3090039337427575190c8d754e3efba",
     "--format json fib --k 3 --n 9 --method all": "504c6ac9f4e162161e4bbf724a52496886e4dbf96d176cafaee88ee200eb3cab",
@@ -1263,8 +1287,8 @@ GOLDEN_STDOUT = {
     "--format json verify --suite identities --k-max 3 --n-max 30": "af8dc420edc4ce9ee1c747665619bd90f14f09facc48a827dcba84b50df89f63",
     "--format csv verify --suite identities --k-max 3 --n-max 30": "091314260134f573f55779b231d46ad506ded56e87f62d499122ac6ff780dcb5",
     "--format csv verify --suite identities --k-max 6 --n-max 60": "46b3016cd4c4e24c5cbd329665359e5ae814dfa44420f9c3ab3d6c889a569d22",
-    "--format json verify --suite series --k-max 3 --n-max 10": "511a0175c81ed0ee983b3e5ce1776d33d0c211913c37b0f9bfd39b891b85b0f1",
-    "verify --k-max 3 --n-max 20": "f0cb2c3cb9490fff40031525782a1493a7cbd970c2a95f3197d99cd4982b2402",
+    "--format json verify --suite series --k-max 3 --n-max 10": "55a5971b639d28ad22be9a6bf3fe89a503ea95dafdf339caeb7ec810bd27af0d",
+    "verify --k-max 3 --n-max 20": "f4f075a5349ea4f06f130169a308785014d1a0293cf9e0a315c3e71a2ca64874",
     "verify --suite engines": "fd46354fe953675b35514e455a604057d0bc4a3e793690dca82f8c344c314bc5",
     "verify --suite identities": "fac1574d4278242e3a6998557f015fa12b93bcdc6c8bb5d1ea80e11f538fc346",
     "verify --suite erratum": "8341b833c2cd19ee23346aea783d38f9ba3b00af241d9e649598e846179c569e",
