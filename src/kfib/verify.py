@@ -24,8 +24,10 @@ read each binom(a, b) of the window from one table.  Below the powering
 cut both recurrence engines take the one stepping ``kfib_table`` holds
 (see ``core``), so the engines suite compares ``kfib_order_k1`` with the
 table only where it powers, and the powering itself, ``_power_term`` on
-both polynomials, at n = 2**j and 2**j + 1; it also checks the table's
-first 2k+1 terms, zero seeds included, and the composition oracle.  The
+both polynomials, at n = 2**j and 2**j + 1 from n = 2d on (d the degree),
+where ``_power_mod`` first reduces.  It also checks the table's first
+2k+1 terms, zero seeds included, and the composition oracle for k <= 11:
+from k = 12 on no n <= 12 it counts reaches the part bound k.  The
 erratum suite compares the misranged sum's exact (N, e) pair with the
 table by a shift, and renders each sum's decimal from that pair.  The
 series suite's ``dominant-rounding`` cells check that F[n] is the nearest
@@ -108,10 +110,6 @@ class Cells:
                         yield VerifyCell(check, k, n, ok, e, a)
 
 
-def _report(suite: str, cells: Cells) -> VerifyReport:
-    return VerifyReport(suite, cells, cells.failures)
-
-
 def verify_engines(k_max: int = 6, n_max: int = 200) -> VerifyReport:
     cells = Cells()
     powered = [n for j in range(1, n_max.bit_length()) for n in (2**j, 2**j + 1) if n <= n_max]
@@ -122,18 +120,20 @@ def verify_engines(k_max: int = 6, n_max: int = 200) -> VerifyReport:
         ns = [n for n in range(n_max + 1) if _powers(k, n)]
         cells.add("engine-agreement", k, ns, [table[n] for n in ns],
                   [kfib_order_k1(k, n) for n in ns])
-        for name, (taps, seeds) in _recurrences(k).items():
-            cells.add(f"power-{name}", k, powered, [table[n] for n in powered],
-                      [_power_term(taps, seeds, n) for n in powered])
+        # below n = 2d, x**(n//2) has degree < d, so _power_mod folds nothing
+        for name, (taps, seeds) in _recurrences(k).items() if 2 * k <= n_max else ():
+            ns = [n for n in powered if n >= 2 * len(taps)]
+            cells.add(f"power-{name}", k, ns, [table[n] for n in ns],
+                      [_power_term(taps, seeds, n) for n in ns])
         ns = range(min(2 * k, n_max) + 1)
-        initial = [0] * (k - 1) + [1] + [2**j for j in range(k)] + [2**k - 1]
-        cells.add("initial-segment", k, ns, initial[:len(ns)], table[:ns.stop])
+        initial = [int(n == k - 1) if n < k else 2 ** (n - k) - (n == 2 * k) for n in ns]
+        cells.add("initial-segment", k, ns, initial, table[:ns.stop])
     last = min(12, n_max)
-    for k in range(2, min(5, k_max) + 1):
+    for k in range(2, min(11, k_max) + 1):
         table = kfib_table(k, last + k - 1)
         ns = range(1, last + 1)
         cells.add("composition-oracle", k, ns, [count_compositions(k, n) for n in ns], table[k:])
-    return _report("engines", cells)
+    return VerifyReport("engines", cells, cells.failures)
 
 
 def verify_identities(k_max: int = 6, n_max: int = 200) -> VerifyReport:
@@ -164,9 +164,9 @@ def verify_identities(k_max: int = 6, n_max: int = 200) -> VerifyReport:
         recurred = [2 * u - v for u, v in zip(sums[k + 2:n_max], sums[2:])]
         cells.add("sum-recurrence", k, range(2, n_max - k), recurred, sums[k + 3:])
         ns = range(2, min(k + 2, n_max) + 1)
-        initial = [2 ** (n - 2) for n in range(2, k + 2)] + [2**k - 1]
-        cells.add("sum-initial", k, ns, initial[:len(ns)], sums[2:ns.stop])
-    return _report("identities", cells)
+        initial = [2 ** (n - 2) - (n == k + 2) for n in ns]
+        cells.add("sum-initial", k, ns, initial, sums[2:ns.stop])
+    return VerifyReport("identities", cells, cells.failures)
 
 
 def verify_series(k_max: int = 6, n_max: int = 200) -> VerifyReport:
@@ -231,7 +231,7 @@ def verify_series(k_max: int = 6, n_max: int = 200) -> VerifyReport:
         cells.add("dominant-rounding", k, ns, [table[n] for n in ns],
                   [round(b.approx) for b in balls],
                   [abs(b.approx - table[n]) + b.err < Fraction(1, 2) for b, n in zip(balls, ns)])
-    return _report("series", cells)
+    return VerifyReport("series", cells, cells.failures)
 
 
 def _equals(pair: tuple[int, int], value: int) -> bool:
@@ -255,12 +255,12 @@ def verify_erratum(k_max: int = 6, n_max: int = 200) -> VerifyReport:
     cells = Cells()
     ns = range(2, n_max + 1)
     sums = list(map(_erroneous_sum, repeat(2), ns))
-    table2 = kfib_table(2, max(n_max, 2))[2:]
+    table2 = kfib_table(2, n_max)[2:]
     cells.add("k2-agreement", 2, ns, table2, list(starmap(_decimal, sums)),
               list(map(_equals, sums, table2)))
     found = 0
-    for k in range(3, k_max + 1):
-        table = kfib_table(k, max(n_max, k))
+    for k in range(3, min(k_max, n_max) + 1):  # a k past n_max has no n
+        table = kfib_table(k, n_max)
         ns, sums, oks = [], [], []
         for n in range(k, n_max + 1):
             pair = _erroneous_sum(k, n)
@@ -277,7 +277,7 @@ def verify_erratum(k_max: int = 6, n_max: int = 200) -> VerifyReport:
         # up an extra 1/16 while the correct range is empty
         cells.add("divergence-exists", 0, (0,), (">=1 divergence for some k >= 3",), (found,),
                   (found > 0,))
-    return _report("erratum", cells)
+    return VerifyReport("erratum", cells, cells.failures)
 
 
 def run_suites(names, k_max: int = 6, n_max: int = 200) -> list[VerifyReport]:

@@ -333,7 +333,7 @@ def test_verify_series_stays_in_its_range(capsys):
 
 def test_verify_engines_stays_in_its_range(capsys):
     # initial-segment runs n = 0..2k, composition-oracle n = 1..12 and the
-    # power-* cells n = 2**j and 2**j + 1, each cut at --n-max;
+    # power-* cells n = 2**j and 2**j + 1 from 2d on, each cut at --n-max;
     # engine-agreement starts at the powering cut, n = 256
     code, out, _ = run_capture(capsys, "--format", "csv", "verify", "--suite", "engines",
                                "--k-max", "3", "--n-max", "4")
@@ -358,6 +358,32 @@ def test_verify_engines_compares_only_where_the_engine_powers():
     assert [(c.n, c.expected) for c in segment] == [
         (0, 0), (1, 0), (2, 0), (3, 1), (4, 1), (5, 2), (6, 4), (7, 8), (8, 15)]
     assert all(c.ok for c in segment)
+
+
+def test_verify_identities_checks_the_first_sums():
+    # sum-initial checks the shifted sums at n = 2..k+2: 2**(n-2), then 2**k - 1
+    cells = [c for c in verify_identities(4, 20).cells if (c.check, c.k) == ("sum-initial", 4)]
+    assert [(c.n, c.expected) for c in cells] == [(2, 1), (3, 2), (4, 4), (5, 8), (6, 15)]
+    assert all(c.ok for c in cells)
+
+
+def test_verify_builds_only_what_a_cell_reads(monkeypatch):
+    # below n = 2d (d = len(taps)) _power_mod reduces nothing, so no power
+    # cell starts there; a polynomial with 2k > n_max has no cell, and an
+    # erratum table past k = n_max no n to compare
+    powered, polynomials, tables = [], [], []
+    for name, calls in (("_power_term", powered), ("_recurrences", polynomials),
+                        ("kfib_table", tables)):
+        monkeypatch.setattr(verify, name, lambda *args, fn=getattr(verify, name), calls=calls:
+                            calls.append(args) or fn(*args))
+    assert verify.verify_engines().failures == 0
+    assert len(powered) == 92 and all(n >= 2 * len(taps) for taps, _, n in powered)
+    polynomials.clear()
+    assert verify.verify_engines(20, 30).failures == 0
+    assert polynomials == [(k,) for k in range(2, 16)]
+    tables.clear()
+    assert verify_erratum(50, 7).failures == 0
+    assert tables == [(k, 7) for k in range(2, 8)]
 
 
 def test_verify_series_strings_are_exactly_rounded():
@@ -545,6 +571,25 @@ def test_a_fold_fault_fails_the_default_verify(monkeypatch, capsys):
     # cells reach _power_mod, and they fail where its fold is wrong
     monkeypatch.setattr(core, "_power_mod", _mutant(
         core._power_mod, "+= t * c", "+= t * c + (top == d and i == 0)"))
+    failed = {c.check for c in verify.verify_engines().cells if not c.ok}
+    assert failed == {"power-order-k", "power-order-k1"}
+    assert run_capture(capsys, "--quiet", "verify")[0] == 4
+
+
+@pytest.mark.parametrize("name, old, new", [
+    ("_power_term", "zip(taps, s[-d:])))", "zip(taps, s[-d:])) + (len(s) == 2 * d - 1))"),
+    ("_power_term", "cj * s[i + j + b]", "cj * s[i + j + b] + (i == j == d - 1)"),
+    ("_square", "sq[2 * i] += a * a", "sq[2 * i] += a * a + (i == 1 and m == 2)")],
+    ids=["seed-run-on", "last-step", "schoolbook-square"])
+def test_a_powering_fault_fails_the_default_verify(monkeypatch, capsys, name, old, new):
+    # the power-* cells start at n = 2d, where _power_mod first reduces; a
+    # fault in s[2d-1], in the last step's (d-1, d-1) term or in the square
+    # of a 2-term polynomial still fails them.  verify calls _power_term by
+    # its own name, and _power_mod calls _square by core's
+    faulty = _mutant(getattr(core, name), old, new)
+    monkeypatch.setattr(core, name, faulty)
+    if name == "_power_term":
+        monkeypatch.setattr(verify, name, faulty)
     failed = {c.check for c in verify.verify_engines().cells if not c.ok}
     assert failed == {"power-order-k", "power-order-k1"}
     assert run_capture(capsys, "--quiet", "verify")[0] == 4
@@ -1255,7 +1300,8 @@ def test_json_writer_matches_json_dumps(x):
 #: cells), fib --method all (the closed forms are one sum, and
 #: recurrence-k1 runs only where it powers), and the engines suite and all
 #: suites (the power-order-k and power-order-k1 cells), and the series suite
-#: and all suites (the dominant-rounding cells)
+#: and all suites (the dominant-rounding cells), and the engines suite and all
+#: suites (power cells from n = 2d, the composition oracle up to k = 11)
 GOLDEN_STDOUT = {
     "fib --k 3 --n 9": "b76baf6af34cdba21310e1496213a587d3090039337427575190c8d754e3efba",
     "--format json fib --k 3 --n 9 --method all": "504c6ac9f4e162161e4bbf724a52496886e4dbf96d176cafaee88ee200eb3cab",
@@ -1282,23 +1328,23 @@ GOLDEN_STDOUT = {
     "--quiet asymptotic --k 3 --n 200 --ratio": "59458f5358f8d31996e74de30ff43d1e589c7dcbc182372d1944194c382a3108",
     "verify --suite erratum --k-max 5 --n-max 30": "611ef12c25c6bd228e5bc381886656e89ae7f0ce3a5d682d4c1abddcef0e9613",
     "--format json verify --suite erratum --k-max 5 --n-max 30": "88d95903929247ca87dd505229044ac8d452d033b69ac42f25774b040d491325",
-    "--format csv verify --suite engines --k-max 4 --n-max 40": "ddd33a0c931b77a463ed348a653af6f0f325eea194ab988a251fc2a7268a79c8",
+    "--format csv verify --suite engines --k-max 4 --n-max 40": "1e344824b118aa665122a77b929b6234230f703117e4d85f11204a3eaaf31ee3",
     "--quiet verify --suite erratum --k-max 6 --n-max 40": "9e80c134fe29f0ab85e637915c415a18b2cf6286d434c863fe280d40c314e72c",
     "--format json verify --suite identities --k-max 3 --n-max 30": "af8dc420edc4ce9ee1c747665619bd90f14f09facc48a827dcba84b50df89f63",
     "--format csv verify --suite identities --k-max 3 --n-max 30": "091314260134f573f55779b231d46ad506ded56e87f62d499122ac6ff780dcb5",
     "--format csv verify --suite identities --k-max 6 --n-max 60": "46b3016cd4c4e24c5cbd329665359e5ae814dfa44420f9c3ab3d6c889a569d22",
     "--format json verify --suite series --k-max 3 --n-max 10": "55a5971b639d28ad22be9a6bf3fe89a503ea95dafdf339caeb7ec810bd27af0d",
-    "verify --k-max 3 --n-max 20": "f4f075a5349ea4f06f130169a308785014d1a0293cf9e0a315c3e71a2ca64874",
-    "verify --suite engines": "fd46354fe953675b35514e455a604057d0bc4a3e793690dca82f8c344c314bc5",
+    "verify --k-max 3 --n-max 20": "6055adccf8ae1520697f5ab51c6f9788af602f5479644e7b7eb5d5c133bd52dc",
+    "verify --suite engines": "ae1054eb400a812b521c9034bd989eecd5d4fee0d99f8de5a1f83c94aaf85c8b",
     "verify --suite identities": "fac1574d4278242e3a6998557f015fa12b93bcdc6c8bb5d1ea80e11f538fc346",
     "verify --suite erratum": "8341b833c2cd19ee23346aea783d38f9ba3b00af241d9e649598e846179c569e",
     "--format csv verify --suite identities": "bcba560d8e5759094a869964b1b5800a06ba572839a06e025bad6ff9d45334f7",
     "--format json verify --suite identities": "52e2b81ea521847030c826c7442e5e08bdac9c8d892fb171d0462183a2fafda7",
     "--format csv verify --suite erratum": "a058301f3d3ee3cb5b571a04adfee159a53743e6b75ea9e85cd9e32e6fd64d22",
     "--format json verify --suite erratum": "ca44096dfae46a080660edd84707722d9b56148344f58ee05705fbdc87c58e6d",
-    "--format csv verify --suite engines": "9fe5f1b923db21096c2daf65e1f7a519a520cee7bd3f4b8919575ee0f4ac6197",
-    "--format json verify --suite engines": "8f4ed5126220c198b2adce9646c9ab930e7da02a6d3a63d73e0bd60bb32d7218",
-    "--format csv verify --suite engines --n-max 300": "58074b28789d7fb37418e7ea50fa89a5a0e7420fafb644e74ab38a5cdcd5e402",
+    "--format csv verify --suite engines": "5e2ce14547723d9cce57f793b20b95c976835c2938ad363b4a750b2a35f5c8e8",
+    "--format json verify --suite engines": "86061a0f1fb9f67a90152e1fcd898850e3739f05b12517b547dcdbfccf1265e7",
+    "--format csv verify --suite engines --n-max 300": "c65992089072d9bdd24cca69289ff0742d0a6d61d2ab13a54f5d8ede6769a006",
 }
 
 
